@@ -25,7 +25,7 @@ from repro.core.fluid import PACKET_BITS, SAMPLE_STRIDE, tail_mean
 from repro.fluid.laws import FLUID_SCHEMES
 from repro.fluid.model import model_from_network
 from repro.fluid.solver import FluidTrajectory, integrate_model
-from repro.net.routing import DistinctPathSelector, Path
+from repro.net.routing import MAX_PATHS, DistinctPathSelector, Path
 from repro.sim.random import RandomStreams
 from repro.sim.units import (
     BitsPerSecond,
@@ -181,10 +181,19 @@ def _flow_paths(scenario: FluidScenario) -> Tuple[object, List[List[Path]]]:
         pairs = _permutation_pairs(
             net.host_names, scenario.flows, streams.stream("fluid-perm")
         )
+        # Draw path indices, then build only the chosen paths: the same
+        # draws and Links as selecting from net.paths(), which is capped at
+        # MAX_PATHS like the packet side's path lists.
         selector = DistinctPathSelector(streams.stream("fluid-paths"))
         flow_paths = [
-            selector.select(net.paths(src, dst), flow, scenario.subflows)
-            for flow, (src, dst) in enumerate(pairs)
+            [
+                net.path(src, dst, i)
+                for i in selector.choose(
+                    min(net.path_count(src, dst), MAX_PATHS),
+                    scenario.subflows,
+                )
+            ]
+            for src, dst in pairs
         ]
         return net, flow_paths
     raise ValueError(

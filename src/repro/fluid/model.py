@@ -77,16 +77,6 @@ class FluidModel:
         return slices
 
 
-def _no_load_rtt(net: Network, path: Path) -> Seconds:
-    """Propagation plus serialization both ways, data out and ACKs back."""
-    rtt = 0.0
-    for link in path:
-        rtt += link.delay + PACKET_BITS / link.rate_bps
-    for link in net.reverse_path(path):
-        rtt += link.delay + ACK_BITS / link.rate_bps
-    return rtt
-
-
 def model_from_network(
     net: Network, flow_paths: Sequence[Sequence[Path]]
 ) -> FluidModel:
@@ -101,6 +91,10 @@ def model_from_network(
     """
     link_index: Dict[str, int] = {}
     links: List[FluidLink] = []
+    # Per-link no-load RTT terms: propagation plus serialization of a
+    # data packet on the link, and of an ACK on its reverse direction.
+    forward_terms: List[Seconds] = []
+    reverse_terms: List[Seconds] = []
     subflows: List[FluidSubflow] = []
     for flow, paths in enumerate(flow_paths):
         if not paths:
@@ -125,13 +119,22 @@ def model_from_network(
                             drop_threshold=drop,
                         )
                     )
+                    forward_terms.append(
+                        link.delay + PACKET_BITS / link.rate_bps
+                    )
+                    reverse = net.reverse_of(link)
+                    reverse_terms.append(
+                        reverse.delay + ACK_BITS / reverse.rate_bps
+                    )
                 hop_indices.append(index)
+            # Data out along the path, then ACKs back hop by hop.
+            rtt = 0.0
+            for index in hop_indices:
+                rtt += forward_terms[index]
+            for index in reversed(hop_indices):
+                rtt += reverse_terms[index]
             subflows.append(
-                FluidSubflow(
-                    flow=flow,
-                    base_rtt=_no_load_rtt(net, path),
-                    links=tuple(hop_indices),
-                )
+                FluidSubflow(flow=flow, base_rtt=rtt, links=tuple(hop_indices))
             )
     return FluidModel(
         links=tuple(links),

@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.net.link import Link
 from repro.net.node import Host, Node, Switch
 from repro.net.queue import DropTailQueue
-from repro.net.routing import Path, enumerate_paths
+from repro.net.routing import MAX_PATHS, Path, enumerate_paths
 from repro.lint.perf.hooks import active_alloc_monitor
 from repro.lint.race.hooks import active_race_monitor
 from repro.obs.hooks import active_profiler
@@ -33,7 +33,7 @@ class Network:
         self.switches: Dict[str, Switch] = {}
         self.links: List[Link] = []
         self.adjacency: Dict[Node, List[Link]] = {}
-        self._path_cache: Dict[Tuple[str, str], List[Path]] = {}
+        self._path_cache: Dict[Tuple[str, str, int], List[Path]] = {}
         self._reverse: Dict[Link, Link] = {}
         self._next_flow_id = 0
         validator = active_validator()
@@ -127,9 +127,11 @@ class Network:
         """Look up a switch by name."""
         return self.switches[name]
 
-    def paths(self, src: str, dst: str, max_paths: int = 64) -> List[Path]:
-        """All shortest paths between two hosts, cached."""
-        key = (src, dst)
+    def paths(
+        self, src: str, dst: str, max_paths: int = MAX_PATHS
+    ) -> List[Path]:
+        """All shortest paths between two hosts, cached per ``max_paths``."""
+        key = (src, dst, max_paths)
         cached = self._path_cache.get(key)
         if cached is None:
             cached = enumerate_paths(

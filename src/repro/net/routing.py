@@ -28,12 +28,17 @@ from repro.net.node import Node
 
 Path = Tuple[Link, ...]
 
+#: Default bound on the shortest paths enumerated per host pair.  Anything
+#: that selects from a path list must draw from at most this many, or its
+#: picks diverge from those made from :meth:`Network.paths`.
+MAX_PATHS = 64
+
 
 def enumerate_paths(
     adjacency: Dict[Node, List[Link]],
     src: Node,
     dst: Node,
-    max_paths: int = 64,
+    max_paths: int = MAX_PATHS,
 ) -> List[Path]:
     """All shortest paths from ``src`` to ``dst`` as tuples of links.
 
@@ -84,12 +89,22 @@ def enumerate_paths(
 
 
 class PathSelector:
-    """Strategy interface: pick paths for the subflows of one flow."""
+    """Strategy interface: pick paths for the subflows of one flow.
+
+    Subclasses implement :meth:`choose`, which picks path *indices*, so a
+    caller that can build single paths by index (the fat tree) need not
+    build the paths it does not keep.
+    """
+
+    def choose(self, count: int, subflow_count: int) -> List[int]:
+        """Indices into ``count`` paths, one per subflow."""
+        raise NotImplementedError
 
     def select(
         self, paths: Sequence[Path], flow: int, subflow_count: int
     ) -> List[Path]:
-        raise NotImplementedError
+        """The chosen paths themselves, one per subflow."""
+        return [paths[i] for i in self.choose(len(paths), subflow_count)]
 
 
 class EcmpSelector(PathSelector):
@@ -103,12 +118,11 @@ class EcmpSelector(PathSelector):
     def __init__(self, rng: random.Random) -> None:
         self._rng = rng
 
-    def select(
-        self, paths: Sequence[Path], flow: int, subflow_count: int
-    ) -> List[Path]:
-        if not paths:
+    def choose(self, count: int, subflow_count: int) -> List[int]:
+        if count < 1:
             raise ValueError("no paths available")
-        return [self._rng.choice(paths) for _ in range(subflow_count)]
+        indices = range(count)
+        return [self._rng.choice(indices) for _ in range(subflow_count)]
 
 
 class DistinctPathSelector(PathSelector):
@@ -123,14 +137,12 @@ class DistinctPathSelector(PathSelector):
     def __init__(self, rng: random.Random) -> None:
         self._rng = rng
 
-    def select(
-        self, paths: Sequence[Path], flow: int, subflow_count: int
-    ) -> List[Path]:
-        if not paths:
+    def choose(self, count: int, subflow_count: int) -> List[int]:
+        if count < 1:
             raise ValueError("no paths available")
-        shuffled = list(paths)
+        shuffled = list(range(count))
         self._rng.shuffle(shuffled)
-        return [shuffled[i % len(shuffled)] for i in range(subflow_count)]
+        return [shuffled[i % count] for i in range(subflow_count)]
 
 
 __all__ = [

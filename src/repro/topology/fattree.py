@@ -18,12 +18,12 @@ Hosts are named ``h_<pod>_<edge>_<index>``; link layers are tagged
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.net.link import Link
 from repro.net.network import Network
 from repro.net.queue import DropTailQueue, ThresholdECNQueue
-from repro.net.routing import Path
+from repro.net.routing import MAX_PATHS, Path
 from repro.sim.units import BitsPerSecond, Seconds
 
 
@@ -36,8 +36,12 @@ class FatTreeNetwork(Network):
         self.host_names: List[str] = []
         #: Per-port rate; set by :func:`build_fattree` (paper: 1 Gbps).
         self.link_rate_bps: BitsPerSecond = 0.0
-        self._link_by_name: Dict[str, Link] = {}
-        self._link_map_size = 0
+        # Link tables filled by build_fattree; see "Paths by index".
+        self._host_links: Dict[str, Tuple[int, int, Link, Link]] = {}
+        self._edge_up: List[List[List[Link]]] = []
+        self._agg_down: List[List[List[Link]]] = []
+        self._agg_up: List[List[List[Link]]] = []
+        self._core_down: List[List[Link]] = []
 
     def bisection_bandwidth_bps(self) -> BitsPerSecond:
         """Full bisection bandwidth of the rearrangeably non-blocking tree.
@@ -75,98 +79,87 @@ class FatTreeNetwork(Network):
         return self.category(src, dst) == "inner-rack"
 
     # ------------------------------------------------------------------
-    # Combinatorial path construction
+    # Paths by index
     # ------------------------------------------------------------------
     #
-    # The generic BFS+DFS in repro.net.routing costs O(V+E) per host
-    # pair — ~20 s of setup for 10^4 flows at k=16.  Fat-tree shortest
-    # paths are fully determined by the host coordinates, so they can
-    # be constructed directly.  The construction reproduces the DFS
-    # enumeration order *exactly* (aggregation switches ascending, then
-    # cores ascending — the adjacency insertion order of
-    # :func:`build_fattree`), so ECMP/DistinctPath selections, and with
-    # them every golden trace, are bit-identical to the generic path
-    # (pinned by tests/test_fluid_backend.py's equality test).
+    # Fat-tree shortest paths are fully determined by the host
+    # coordinates, so no search is needed.  build_fattree records every
+    # link in coordinate-indexed tables as it connects:
+    #
+    #   _host_links[host]     (pod, edge, host->edge, edge->host)
+    #   _edge_up[pod][e][a]   edge_<pod>_<e> -> agg_<pod>_<a>
+    #   _agg_down[pod][a][e]  agg_<pod>_<a> -> edge_<pod>_<e>
+    #   _agg_up[pod][a][j]    agg_<pod>_<a> -> core_<a>_<j>
+    #   _core_down[c][pod]    core number c = a*half + j -> agg_<pod>_<a>
+    #
+    # Path ``i`` between two hosts is then an O(1) lookup: ``i`` is the
+    # aggregation switch for an inter-rack pair and ``divmod(i, half)``
+    # = (aggregation switch, core) for an inter-pod pair.  That index
+    # order is the order the generic BFS+DFS of repro.net.routing
+    # enumerates paths in (aggregation switches ascending, then cores
+    # ascending — the adjacency insertion order of build_fattree).  It
+    # must be kept: selectors draw indices into it, so any other order
+    # would hand ECMP/DistinctPath different links and change every
+    # golden trace (pinned by tests/test_fluid_backend.py).  Callers that
+    # keep only a few paths per flow (the fluid backend) pick indices
+    # with PathSelector.choose and build just those paths.
 
-    def _link(self, src_name: str, dst_name: str) -> Link:
-        if self._link_map_size != len(self.links):
-            self._link_by_name = {link.name: link for link in self.links}
-            self._link_map_size = len(self.links)
-        return self._link_by_name[f"{src_name}->{dst_name}"]
+    def path_count(self, src: str, dst: str) -> int:
+        """Number of shortest paths between two hosts."""
+        src_pod, src_edge, _, _ = self._host_links[src]
+        dst_pod, dst_edge, _, _ = self._host_links[dst]
+        if src_pod != dst_pod:
+            half = self.k // 2
+            return half * half
+        if src_edge != dst_edge:
+            return self.k // 2
+        return 1
 
-    def _construct_paths(
-        self, src: str, dst: str, max_paths: int
-    ) -> Optional[List[Path]]:
-        """Shortest host-to-host paths by coordinates; None if not hosts."""
-        if src not in self.hosts or dst not in self.hosts:
-            return None
+    def path(self, src: str, dst: str, i: int) -> Path:
+        """The ``i``-th shortest path between two hosts, in DFS order."""
+        src_pod, src_edge, up, _ = self._host_links[src]
+        dst_pod, dst_edge, _, down = self._host_links[dst]
+        if not 0 <= i < self.path_count(src, dst):
+            raise IndexError(f"path index {i} out of range for {src}->{dst}")
         if src == dst:
-            return [()]
-        src_pod, src_edge, _ = self.parse_host(src)
-        dst_pod, dst_edge, _ = self.parse_host(dst)
-        half = self.k // 2
-        src_edge_name = f"edge_{src_pod}_{src_edge}"
-        dst_edge_name = f"edge_{dst_pod}_{dst_edge}"
-        up = self._link(src, src_edge_name)
-        down = self._link(dst_edge_name, dst)
-        if src_pod == dst_pod and src_edge == dst_edge:
-            return [(up, down)]
-        paths: List[Path] = []
+            return ()
         if src_pod == dst_pod:
-            for a in range(half):
-                if len(paths) >= max_paths:
-                    break
-                agg = f"agg_{src_pod}_{a}"
-                paths.append(
-                    (
-                        up,
-                        self._link(src_edge_name, agg),
-                        self._link(agg, dst_edge_name),
-                        down,
-                    )
-                )
-            return paths
-        for a in range(half):
-            if len(paths) >= max_paths:
-                break
-            src_agg = f"agg_{src_pod}_{a}"
-            dst_agg = f"agg_{dst_pod}_{a}"
-            edge_up = self._link(src_edge_name, src_agg)
-            edge_down = self._link(dst_agg, dst_edge_name)
-            for j in range(half):
-                if len(paths) >= max_paths:
-                    break
-                core = f"core_{a}_{j}"
-                paths.append(
-                    (
-                        up,
-                        edge_up,
-                        self._link(src_agg, core),
-                        self._link(core, dst_agg),
-                        edge_down,
-                        down,
-                    )
-                )
-        return paths
+            if src_edge == dst_edge:
+                return (up, down)
+            return (
+                up,
+                self._edge_up[src_pod][src_edge][i],
+                self._agg_down[src_pod][i][dst_edge],
+                down,
+            )
+        agg, core = divmod(i, self.k // 2)
+        return (
+            up,
+            self._edge_up[src_pod][src_edge][agg],
+            self._agg_up[src_pod][agg][core],
+            self._core_down[i][dst_pod],
+            self._agg_down[dst_pod][agg][dst_edge],
+            down,
+        )
 
-    def paths(self, src: str, dst: str, max_paths: int = 64) -> List[Path]:
-        """All shortest paths, constructed combinatorially for host pairs.
+    def paths(
+        self, src: str, dst: str, max_paths: int = MAX_PATHS
+    ) -> List[Path]:
+        """All shortest paths, built from the link tables for host pairs.
 
-        Switch endpoints (or malformed names) fall back to the generic
-        BFS enumeration of :class:`~repro.net.network.Network`.
+        Endpoints that :func:`build_fattree` did not create as hosts
+        (switches, hosts added afterwards) fall back to the generic BFS
+        enumeration of :class:`~repro.net.network.Network`.
         """
-        key = (src, dst)
-        cached = self._path_cache.get(key)
-        if cached is not None:
-            return cached
-        try:
-            constructed = self._construct_paths(src, dst, max_paths)
-        except (KeyError, ValueError):
-            constructed = None
-        if constructed is None:
+        if src not in self._host_links or dst not in self._host_links:
             return super().paths(src, dst, max_paths)
-        self._path_cache[key] = constructed
-        return constructed
+        key = (src, dst, max_paths)
+        cached = self._path_cache.get(key)
+        if cached is None:
+            count = min(self.path_count(src, dst), max_paths)
+            cached = [self.path(src, dst, i) for i in range(count)]
+            self._path_cache[key] = cached
+        return cached
 
 
 def build_fattree(
@@ -192,24 +185,42 @@ def build_fattree(
     cores = [
         net.add_switch(f"core_{i}_{j}") for i in range(half) for j in range(half)
     ]
+    net._core_down = [[] for _ in cores]
 
     for pod in range(k):
         aggs = [net.add_switch(f"agg_{pod}_{a}") for a in range(half)]
         edges = [net.add_switch(f"edge_{pod}_{e}") for e in range(half)]
+        edge_up: List[List[Link]] = [[] for _ in edges]
+        agg_up: List[List[Link]] = []
+        agg_down: List[List[Link]] = []
         for a, agg in enumerate(aggs):
+            to_cores: List[Link] = []
+            to_edges: List[Link] = []
             # Aggregation switch a connects to cores a*half .. a*half+half-1.
             for j in range(half):
-                core = cores[a * half + j]
-                net.connect(agg, core, link_rate_bps, core_delay,
-                            queue_factory=queue, layer="core")
-            for edge in edges:
-                net.connect(edge, agg, link_rate_bps, aggregation_delay,
-                            queue_factory=queue, layer="aggregation")
+                c = a * half + j
+                to_core, from_core = net.connect(
+                    agg, cores[c], link_rate_bps, core_delay,
+                    queue_factory=queue, layer="core")
+                to_cores.append(to_core)
+                net._core_down[c].append(from_core)
+            for e, edge in enumerate(edges):
+                to_agg, from_agg = net.connect(
+                    edge, agg, link_rate_bps, aggregation_delay,
+                    queue_factory=queue, layer="aggregation")
+                edge_up[e].append(to_agg)
+                to_edges.append(from_agg)
+            agg_up.append(to_cores)
+            agg_down.append(to_edges)
+        net._edge_up.append(edge_up)
+        net._agg_up.append(agg_up)
+        net._agg_down.append(agg_down)
         for e, edge in enumerate(edges):
             for h in range(half):
                 host = net.add_host(f"h_{pod}_{e}_{h}")
-                net.connect(host, edge, link_rate_bps, rack_delay,
-                            queue_factory=queue, layer="rack")
+                up, down = net.connect(host, edge, link_rate_bps, rack_delay,
+                                       queue_factory=queue, layer="rack")
+                net._host_links[host.name] = (pod, e, up, down)
                 net.host_names.append(host.name)
     return net
 

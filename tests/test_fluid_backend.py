@@ -1,7 +1,7 @@
 """Tests for the fluid backend package (repro.fluid) and the integrator
 fixes in repro.core.fluid it depends on: exact step counts, final-state
 sampling, tail-fraction validation, Eq. 2/3 equilibrium properties, the
-reference/vector solver equivalence, combinatorial fat-tree paths, and
+reference/vector solver equivalence, fat-tree paths by index, and
 the runner/telemetry backend plumbing."""
 
 import math
@@ -16,9 +16,11 @@ from repro.fluid import (
     run_fluid,
     vector_available,
 )
-from repro.fluid.backend import _simulate
+from repro.fluid.backend import _flow_paths, _permutation_pairs, _simulate
 from repro.fluid.laws import FLUID_SCHEMES
 from repro.net.network import Network
+from repro.net.routing import MAX_PATHS, DistinctPathSelector
+from repro.sim.random import RandomStreams
 from repro.sim.units import seconds
 from repro.topology.bottleneck import build_single_bottleneck
 from repro.topology.fattree import build_fattree
@@ -311,23 +313,27 @@ class TestSolverEquivalence:
 
 class TestFatTreePathConstruction:
     def test_identical_to_generic_enumeration_k4(self):
-        """The combinatorial construction must reproduce the generic DFS
-        enumeration exactly — order included — or ECMP selections (and
-        every golden trace) would silently change."""
+        """Paths by index must reproduce the generic DFS enumeration
+        exactly — order included — or ECMP selections (and every golden
+        trace) would silently change."""
         net = build_fattree(k=4)
         hosts = net.host_names
         for src in hosts:
             for dst in hosts:
                 if src == dst:
                     continue
-                constructed = net._construct_paths(src, dst, 64)
                 generic = Network.paths(net, src, dst, 64)
-                assert constructed == generic, (src, dst)
+                by_index = [
+                    net.path(src, dst, i)
+                    for i in range(net.path_count(src, dst))
+                ]
+                assert by_index == generic, (src, dst)
+                assert net.paths(src, dst, 64) == generic, (src, dst)
 
     def test_truncation_matches_generic(self):
         net = build_fattree(k=8)
         src, dst = "h_0_0_0", "h_1_0_0"
-        constructed = net._construct_paths(src, dst, 5)
+        constructed = net.paths(src, dst, 5)
         generic = Network.paths(net, src, dst, 5)
         assert len(constructed) == 5
         assert constructed == generic
@@ -338,12 +344,67 @@ class TestFatTreePathConstruction:
         assert len(net.paths("h_0_0_0", "h_0_1_0")) == 2   # inter-rack
         assert len(net.paths("h_0_0_0", "h_1_0_0")) == 4   # inter-pod
         assert net.paths("h_0_0_0", "h_0_0_0") == [()]
+        assert net.path_count("h_0_0_0", "h_0_0_1") == 1
+        assert net.path_count("h_0_0_0", "h_0_1_0") == 2
+        assert net.path_count("h_0_0_0", "h_1_0_0") == 4
+        assert build_fattree(k=16).path_count("h_0_0_0", "h_1_0_0") == 64
+
+    def test_path_index_out_of_range(self):
+        net = build_fattree(k=4)
+        for i in (-1, 4):
+            with pytest.raises(IndexError):
+                net.path("h_0_0_0", "h_1_0_0", i)
+        with pytest.raises(IndexError):
+            net.path("h_0_0_0", "h_0_0_1", 1)
 
     def test_switch_pairs_fall_back_to_generic(self):
         net = build_fattree(k=4)
-        # Switch endpoints are not hosts; Network.paths handles hosts
-        # only, so just pin that the fast path declines them.
-        assert net._construct_paths("edge_0_0", "edge_0_1", 64) is None
+        # Switch endpoints are not in the link tables, so the by-index
+        # methods decline them and paths() defers to Network.paths,
+        # which (like every Network) serves host endpoints only.
+        with pytest.raises(KeyError):
+            net.path_count("edge_0_0", "edge_0_1")
+        with pytest.raises(KeyError):
+            net.path("edge_0_0", "edge_0_1", 0)
+        with pytest.raises(KeyError):
+            net.paths("edge_0_0", "edge_0_1")
+        # A host added after build_fattree takes the generic BFS too.
+        extra = net.add_host("extra")
+        net.connect(extra, net.switch("edge_0_0"), 1e9, 20e-6)
+        paths = net.paths("extra", "h_1_0_0")
+        assert len(paths) == 4
+        assert paths == Network.paths(net, "extra", "h_1_0_0")
+
+    @pytest.mark.parametrize("subflows", [2, 3])
+    @pytest.mark.parametrize("k, flows", [(8, 512), (18, 64)])
+    def test_flow_paths_match_selecting_from_full_lists(
+        self, k, flows, subflows
+    ):
+        """Choosing indices then building those paths hands the fluid
+        model the same Link objects as selecting from net.paths().  At
+        k=18 an inter-pod pair has 81 paths, more than the MAX_PATHS cap
+        net.paths() applies, so the index draw must be capped the same."""
+        scenario = FluidScenario(
+            topology="fattree", k=k, flows=flows, subflows=subflows, seed=3
+        )
+        net, flow_paths = _flow_paths(scenario)
+        streams = RandomStreams(scenario.seed)
+        pairs = _permutation_pairs(
+            net.host_names, scenario.flows, streams.stream("fluid-perm")
+        )
+        if k == 18:
+            assert max(net.path_count(s, d) for s, d in pairs) > MAX_PATHS
+        selector = DistinctPathSelector(streams.stream("fluid-paths"))
+        assert len(flow_paths) == len(pairs) == flows
+        for flow, (src, dst) in enumerate(pairs):
+            expected = selector.select(net.paths(src, dst), flow, subflows)
+            got = flow_paths[flow]
+            assert len(got) == len(expected) == subflows
+            for got_path, expected_path in zip(got, expected):
+                assert len(got_path) == len(expected_path)
+                assert all(
+                    a is b for a, b in zip(got_path, expected_path)
+                ), (flow, src, dst)
 
 
 # ----------------------------------------------------------------------

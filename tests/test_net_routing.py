@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.net.network import Network
 from repro.net.routing import DistinctPathSelector, EcmpSelector, enumerate_paths
+from repro.topology.fattree import build_fattree
 
 
 def diamond_net():
@@ -66,8 +67,17 @@ class TestEnumeration:
             net.connect(a, mid, 1e9, 1e-6)
             net.connect(mid, b, 1e9, 1e-6)
         assert len(net.paths("A", "B", max_paths=3)) == 3
+        # Same network: the cache must not hand back the truncated list.
+        assert len(net.paths("A", "B")) == 8
+        assert len(net.paths("A", "B", max_paths=3)) == 3
         net2 = diamond_net()
         assert len(net2.paths("A", "B", max_paths=64)) == 2
+        # The fat tree builds host paths from its link tables and caches
+        # them separately; the bound must key that cache too.
+        tree = build_fattree(k=4)
+        assert len(tree.paths("h_0_0_0", "h_1_0_0", max_paths=2)) == 2
+        assert len(tree.paths("h_0_0_0", "h_1_0_0")) == 4
+        assert len(tree.paths("h_0_0_0", "h_1_0_0", max_paths=2)) == 2
 
     def test_paths_are_cached(self):
         net = diamond_net()
@@ -124,3 +134,48 @@ class TestSelectors:
         chosen = selector.select(paths, 0, n_subflows)
         head = chosen[: min(n_paths, n_subflows)]
         assert len(set(head)) == len(head)  # distinct until wrap-around
+
+
+class TestChooseMatchesReference:
+    """``choose`` makes exactly the draws the path-list selectors made.
+
+    The references are the selection algorithms as they were written
+    over path lists; selecting indices instead must not change a single
+    draw, or every seeded run would pick different paths.
+    """
+
+    @staticmethod
+    def reference_distinct(rng, paths, subflow_count):
+        shuffled = list(paths)
+        rng.shuffle(shuffled)
+        return [shuffled[i % len(shuffled)] for i in range(subflow_count)]
+
+    @staticmethod
+    def reference_ecmp(rng, paths, subflow_count):
+        return [rng.choice(paths) for _ in range(subflow_count)]
+
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 64),
+           subflow_count=st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_selectors_match_reference(self, seed, count, subflow_count):
+        paths = [(f"p{i}",) for i in range(count)]
+        for cls, reference in (
+            (DistinctPathSelector, self.reference_distinct),
+            (EcmpSelector, self.reference_ecmp),
+        ):
+            expected_rng = random.Random(seed)
+            expected = reference(expected_rng, paths, subflow_count)
+
+            select_rng = random.Random(seed)
+            assert cls(select_rng).select(paths, 0, subflow_count) == expected
+            assert select_rng.getstate() == expected_rng.getstate()
+
+            choose_rng = random.Random(seed)
+            indices = cls(choose_rng).choose(count, subflow_count)
+            assert [paths[i] for i in indices] == expected
+            assert choose_rng.getstate() == expected_rng.getstate()
+
+    def test_choose_rejects_no_paths(self):
+        for cls in (DistinctPathSelector, EcmpSelector):
+            with pytest.raises(ValueError):
+                cls(random.Random(0)).choose(0, 1)
