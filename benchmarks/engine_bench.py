@@ -24,9 +24,11 @@ equality.
 
 The harness runs against both the seed binary-heap engine and the
 calendar-queue engine: it feature-detects ``Simulator.post`` (the
-allocation-free fast path) and ``Link`` batching, and simply omits cells
-the engine under test cannot run, so the committed baseline entry really
-was measured on the seed engine with the same workloads.
+allocation-free fast path) and simply omits cells the engine under test
+cannot run, so the committed baseline entry really was measured on the
+seed engine with the same workloads.  Cells that later left the harness
+(such as the batched-link-service cell, whose feature was removed) are
+reported as unknown and skipped by ``--check``.
 """
 
 from __future__ import annotations
@@ -136,39 +138,23 @@ def cell_fig1_convergence() -> Tuple[int, float]:
     return net.sim.events_processed, time.perf_counter() - started
 
 
-def _fattree_cell(pattern: str, batch: int) -> Tuple[int, float]:
+def _fattree_cell(pattern: str) -> Tuple[int, float]:
     from repro.experiments.fattree_eval import FatTreeScenario, _simulate
 
     scenario = FatTreeScenario(pattern=pattern, duration=0.02, k=4, seed=1)
-    previous = os.environ.get("REPRO_LINK_BATCH")
-    if batch > 1:
-        os.environ["REPRO_LINK_BATCH"] = str(batch)
-    try:
-        started = time.perf_counter()
-        result = _simulate(scenario)
-        wall = time.perf_counter() - started
-    finally:
-        if batch > 1:
-            if previous is None:
-                os.environ.pop("REPRO_LINK_BATCH", None)
-            else:
-                os.environ["REPRO_LINK_BATCH"] = previous
-    return result.events, wall
+    started = time.perf_counter()
+    result = _simulate(scenario)
+    return result.events, time.perf_counter() - started
 
 
 def cell_fattree_permutation() -> Tuple[int, float]:
     """A k=4 fat-tree permutation cell (exact per-packet link service)."""
-    return _fattree_cell("permutation", batch=1)
+    return _fattree_cell("permutation")
 
 
 def cell_fattree_incast() -> Tuple[int, float]:
     """The incast cell: RTO-dominated fan-in on a k=4 fat tree."""
-    return _fattree_cell("incast", batch=1)
-
-
-def cell_fattree_permutation_batched() -> Tuple[int, float]:
-    """The permutation cell under batched link service (train size 16)."""
-    return _fattree_cell("permutation", batch=16)
+    return _fattree_cell("incast")
 
 
 def cell_fluid_fattree_k16() -> Tuple[int, float]:
@@ -195,12 +181,6 @@ def _fluid_vector_available() -> bool:
     return vector_available()
 
 
-def _engine_supports_batching() -> bool:
-    from repro.net.link import Link
-
-    return "batch" in getattr(Link, "__slots__", ())
-
-
 #: Cell name -> (function, availability predicate or None).
 CELLS: Dict[str, Tuple[Callable[[], Tuple[int, float]],
                        Optional[Callable[[], bool]]]] = {
@@ -209,9 +189,6 @@ CELLS: Dict[str, Tuple[Callable[[], Tuple[int, float]],
     "fig1_convergence": (cell_fig1_convergence, None),
     "fattree_permutation": (cell_fattree_permutation, None),
     "fattree_incast": (cell_fattree_incast, None),
-    "fattree_permutation_batched": (
-        cell_fattree_permutation_batched, _engine_supports_batching
-    ),
     "fluid_fattree_k16": (cell_fluid_fattree_k16, _fluid_vector_available),
 }
 

@@ -48,21 +48,21 @@ ENV_VARS: Tuple[EnvVar, ...] = (
     EnvVar(
         "REPRO_VALIDATE",
         "process",
-        "repro.validate.hooks",
+        "repro.sim.taps",
         "Attach the runtime invariant validator to every campaign cell "
         "(any non-empty value other than 0).",
     ),
     EnvVar(
         "REPRO_PROFILE",
         "process",
-        "repro.obs.hooks",
+        "repro.sim.taps",
         "Profile every run: networks attach their simulator to an "
         "engine profiler (any non-empty value other than 0).",
     ),
     EnvVar(
         "REPRO_TELEMETRY",
         "process",
-        "repro.obs.hooks",
+        "repro.sim.taps",
         "Directory for campaign telemetry JSONL; implies profiling "
         "(records embed the engine profile).",
     ),
@@ -73,37 +73,30 @@ ENV_VARS: Tuple[EnvVar, ...] = (
         "On-disk run-cache directory (default ~/.cache/repro).",
     ),
     EnvVar(
-        "REPRO_LINK_BATCH",
-        "process",
-        "repro.net.link",
-        "Process-wide default link service batch size; values > 1 "
-        "switch links to batched train service.",
-    ),
-    EnvVar(
         "REPRO_RACE",
         "process",
-        "repro.lint.race.hooks",
+        "repro.sim.taps",
         "Attach the same-instant race sanitizer to every new Network "
         "(any non-empty value other than 0).",
     ),
     EnvVar(
         "REPRO_RACE_LOG",
         "process",
-        "repro.lint.race.hooks",
+        "repro.sim.taps",
         "Stream the race sanitizer's collision/summary JSONL report to "
         "this path (with REPRO_RACE).",
     ),
     EnvVar(
         "REPRO_ALLOC",
         "process",
-        "repro.lint.perf.hooks",
+        "repro.sim.taps",
         "Attach the hot-path allocation sanitizer to every new Network "
         "(any non-empty value other than 0).",
     ),
     EnvVar(
         "REPRO_ALLOC_LOG",
         "process",
-        "repro.lint.perf.hooks",
+        "repro.sim.taps",
         "Stream the allocation sanitizer's per-event JSONL log to this "
         "path (with REPRO_ALLOC).",
     ),

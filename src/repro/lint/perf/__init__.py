@@ -18,35 +18,24 @@ allocation-free per-event floor; simperf *protects* that floor:
   ``python -m repro.lint --perf``.
 
 * **Runtime sanitizer** (:mod:`repro.lint.perf.runtime`): a
-  zero-cost-when-disabled tracemalloc hook around every fired hot
-  callback (fourth engine seam, same activation contract as
-  :mod:`repro.validate` / :mod:`repro.obs` / :mod:`repro.lint.race`),
-  enabled with ``REPRO_ALLOC=1``.  ``python -m repro.lint.perf``
+  tracemalloc window around every fired hot callback, as an engine tap
+  (see :mod:`repro.sim.taps`, the seam :mod:`repro.validate`,
+  :mod:`repro.obs` and :mod:`repro.lint.race` use too), enabled with
+  ``REPRO_ALLOC=1`` or :func:`alloc_monitoring`.  ``python -m repro.lint.perf``
   cross-checks dynamically observed allocators against the static
   explanation closure on the golden scenarios, with bit-identical
   digests.
 
 This ``__init__`` deliberately imports only the light modules (rule
-metadata and the dependency-free hooks) so that
-:class:`repro.net.Network` can consult the activation registry at
-construction time without pulling the whole analyzer in.
+metadata and the runtime monitor), never the analyzer.
 """
 
-from repro.lint.perf.hooks import (
-    activate,
-    active_alloc_monitor,
-    alloc_monitoring,
-    alloc_requested,
-    deactivate,
-)
 from repro.lint.perf.info import PERF_CODES, PERF_RULE_INFOS
+from repro.lint.perf.runtime import AllocMonitor, alloc_monitoring
 
 __all__ = [
     "PERF_CODES",
     "PERF_RULE_INFOS",
-    "activate",
-    "active_alloc_monitor",
+    "AllocMonitor",
     "alloc_monitoring",
-    "alloc_requested",
-    "deactivate",
 ]

@@ -33,9 +33,8 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Set
 
-from repro.lint.perf.hooks import alloc_monitoring
 from repro.lint.perf.hotpaths import HotPathRegistry
-from repro.lint.perf.runtime import AllocMonitor
+from repro.lint.perf.runtime import AllocMonitor, alloc_monitoring
 
 #: Default smoke set: one bottleneck golden plus one incast cell — the
 #: two scenario shapes that exercise the densest transport fan-in.

@@ -1,17 +1,15 @@
 """The runtime side of simperf: the per-hot-function allocation sanitizer.
 
-An :class:`AllocMonitor` attaches to a
-:class:`~repro.sim.engine.Simulator` through the engine's passive
-``alloc`` slot — the fourth zero-cost hook seam, next to the validator's
-``observer``, the profiler, and the race monitor.  The instrumented loop
-calls exactly two hooks around every fired callback:
+An :class:`AllocMonitor` is one of the engine's taps (see
+:mod:`repro.sim.taps`, next to the validator, the race monitor and the
+profiler), nested innermost so its window excludes the other taps.  Its
+:meth:`~AllocMonitor.fire` brackets every fired callback:
 
-* ``alloc.on_event_fired(time, priority, callback)`` — before the fire:
-  if the callback resolves to a function registered in ``hotpaths.toml``
-  (memoized by the underlying function object), the tracemalloc peak is
-  reset and the traced-memory baseline captured;
-* ``alloc.on_event_settled()`` — after the fire: the peak delta over the
-  baseline is attributed to that hot function.
+* before the fire: if the callback resolves to a function registered in
+  ``hotpaths.toml`` (memoized by the underlying function object), the
+  tracemalloc peak is reset and the traced-memory baseline captured;
+* after the fire: the peak delta over the baseline is attributed to that
+  hot function.
 
 The monitor observes and never perturbs: tracemalloc tracks allocator
 traffic out of band, the monitor schedules nothing and mutates nothing
@@ -34,11 +32,13 @@ call graph; anything else is an *unexplained* allocation.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import tracemalloc
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.lint.perf.hotpaths import HotPathRegistry
+from repro.sim.taps import ALLOC, attach, invoke, tapping
 
 #: Per-function JSONL records are capped so a long campaign cannot grow
 #: the log unboundedly; the in-memory totals are always complete.
@@ -56,6 +56,8 @@ SCALAR_NOISE_BYTES = 32
 
 class AllocMonitor:
     """Attributes tracemalloc peak deltas to registered hot functions."""
+
+    kind = ALLOC
 
     def __init__(
         self,
@@ -77,8 +79,6 @@ class AllocMonitor:
         #: function object -> dotted qname (or None when not registered).
         self._resolved: Dict[Any, Optional[str]] = {}
         self._logged: Dict[str, int] = {}
-        #: (dotted, time) of the hot callback currently firing, or None.
-        self._pending: Optional[tuple] = None
         self._baseline = 0
         self._started_tracing = not tracemalloc.is_tracing()
         if self._started_tracing:
@@ -87,8 +87,8 @@ class AllocMonitor:
     # -- attachment ----------------------------------------------------
 
     def attach(self, sim: Any) -> None:
-        """Attach to a simulator's passive ``alloc`` slot."""
-        sim.alloc = self
+        """Tap a simulator."""
+        attach(sim, self)
 
     def close(self) -> None:
         """Release tracemalloc, if this monitor started it."""
@@ -96,7 +96,7 @@ class AllocMonitor:
             tracemalloc.stop()
             self._started_tracing = False
 
-    # -- engine hooks --------------------------------------------------
+    # -- the tap -------------------------------------------------------
 
     def _resolve(self, callback: Callable[..., None]) -> Optional[str]:
         func = getattr(callback, "__func__", callback)
@@ -116,38 +116,41 @@ class AllocMonitor:
         self._resolved[func] = resolved
         return resolved
 
-    def on_event_fired(
-        self, when: float, priority: int, callback: Callable[..., None]
+    def fire(
+        self,
+        when: float,
+        priority: int,
+        callback: Callable[..., None],
+        args: tuple,
+        call: Callable[..., None] = invoke,
     ) -> None:
-        """Called by the engine loop immediately before a callback fires."""
+        """Fire one event, attributing a hot callback's peak allocation."""
         self.events += 1
         dotted = self._resolve(callback)
         if dotted is None:
-            self._pending = None
+            call(when, priority, callback, args)
             return
         self.hot_events += 1
-        self._pending = (dotted, when)
-        if tracemalloc.is_tracing():
+        tracing = tracemalloc.is_tracing()
+        if tracing:
             # Baseline first, reset second: get_traced_memory() reads the
             # counters *before* building its result tuple, so this order
             # keeps the monitor's own transient tuple out of the peak
             # window.  Reversed, every event shows a ~64-byte phantom
-            # delta and every callback looks like an allocator.
+            # delta and every callback looks like an allocator.  The
+            # baseline lives on the monitor, not in a local: rebinding
+            # it frees the previous boxed int, which nets out the new
+            # one's allocation.
             self._baseline = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-
-    def on_event_settled(self) -> None:
-        """Called by the engine loop after the callback returned."""
-        pending = self._pending
-        if pending is None:
-            return
-        self._pending = None
-        dotted, when = pending
+        call(when, priority, callback, args)
         delta = 0
-        if tracemalloc.is_tracing():
-            _current, peak = tracemalloc.get_traced_memory()
-            delta = peak - self._baseline
+        if tracing:
+            delta = tracemalloc.get_traced_memory()[1] - self._baseline
             delta = 0 if delta <= SCALAR_NOISE_BYTES else delta
+        self._settle(dotted, when, delta)
+
+    def _settle(self, dotted: str, when: float, delta: int) -> None:
         entry = self.stats.get(dotted)
         if entry is None:
             entry = {"events": 0, "alloc_events": 0, "bytes": 0}
@@ -211,4 +214,29 @@ class AllocMonitor:
             handle.write(json.dumps(summary, sort_keys=True) + "\n")
 
 
-__all__ = ["AllocMonitor", "SCALAR_NOISE_BYTES"]
+@contextlib.contextmanager
+def alloc_monitoring(
+    monitor: Optional[AllocMonitor] = None,
+) -> Iterator[AllocMonitor]:
+    """Run a block with an active allocation monitor.
+
+    Usage::
+
+        with alloc_monitoring() as monitor:
+            net = build_single_bottleneck(...)
+            net.sim.run(until=0.4)
+        stats = monitor.stats
+
+    On exit the monitor's tracemalloc tracing is released (if the
+    monitor started it).
+    """
+    if monitor is None:
+        monitor = AllocMonitor()
+    try:
+        with tapping(ALLOC, monitor):
+            yield monitor
+    finally:
+        monitor.close()
+
+
+__all__ = ["AllocMonitor", "SCALAR_NOISE_BYTES", "alloc_monitoring"]

@@ -14,36 +14,25 @@ on.  simrace attacks that hazard from both sides:
   SIM018 (a periodic callback scheduled at an unnamed priority, the
   PR 4 sampler-bug shape).  Run with ``python -m repro.lint --race``.
 
-* **Runtime sanitizer** (:mod:`repro.lint.race.runtime`): a
-  zero-cost-when-disabled hook on the engine's same-instant batch
-  (same activation contract as :mod:`repro.validate` /
-  :mod:`repro.obs`), enabled with ``REPRO_RACE=1``.  It snapshot-diffs
+* **Runtime sanitizer** (:mod:`repro.lint.race.runtime`): an engine
+  tap (see :mod:`repro.sim.taps`, the seam :mod:`repro.validate` and
+  :mod:`repro.obs` use too) on the same-instant batch, enabled with
+  ``REPRO_RACE=1`` or :func:`race_monitoring`.  It snapshot-diffs
   each callback's receiver state and records write collisions within an
   equal-``(time, priority)`` run to JSONL, without ever perturbing the
   simulation.  ``python -m repro.lint.race`` cross-checks observed
   collisions against the static findings on the golden scenarios.
 
 This ``__init__`` deliberately imports only the light modules (rule
-metadata and the dependency-free hooks) so that :class:`repro.net.Network`
-can consult the activation registry at construction time without pulling
-the whole analyzer in.
+metadata and the runtime monitor), never the analyzer.
 """
 
-from repro.lint.race.hooks import (
-    activate,
-    active_race_monitor,
-    deactivate,
-    race_monitoring,
-    race_requested,
-)
 from repro.lint.race.info import RACE_CODES, RACE_RULE_INFOS
+from repro.lint.race.runtime import RaceMonitor, race_monitoring
 
 __all__ = [
     "RACE_CODES",
     "RACE_RULE_INFOS",
-    "activate",
-    "active_race_monitor",
-    "deactivate",
+    "RaceMonitor",
     "race_monitoring",
-    "race_requested",
 ]

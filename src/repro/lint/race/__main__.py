@@ -23,7 +23,7 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from repro.lint.race.hooks import race_monitoring
+from repro.lint.race.runtime import race_monitoring
 
 #: Default smoke set: one bottleneck golden plus one incast cell — the
 #: two scenario shapes with the densest same-instant batches.

@@ -1,20 +1,17 @@
 """The runtime side of simrace: the same-instant write sanitizer.
 
-A :class:`RaceMonitor` attaches to a :class:`~repro.sim.engine.Simulator`
-through the engine's passive ``race`` slot (the same seam as the
-validator's ``observer`` and the profiler).  The instrumented loop calls
-exactly two hooks around every fired callback:
+A :class:`RaceMonitor` is one of the engine's taps (see
+:mod:`repro.sim.taps`, the same seam as the validator and the
+profiler).  Its :meth:`~RaceMonitor.fire` brackets every fired callback:
 
-* ``race.on_event_fired(time, priority, callback)`` — before the fire:
-  batch bookkeeping (a *batch* is a maximal run of events sharing
-  ``(time, priority)`` — precisely the events whose mutual order is
-  insertion-order only) and a shallow snapshot of the callback's bound
-  receiver;
-* ``race.on_event_settled()`` — after the fire: the receiver's state is
-  diffed against the snapshot; every attribute the callback *rebound* is
-  recorded, and a rebind of an attribute a **different** callback
-  already rebound in the same batch is a collision — the runtime
-  counterpart of static SIM016.
+* before the fire: batch bookkeeping (a *batch* is a maximal run of
+  events sharing ``(time, priority)`` — precisely the events whose
+  mutual order is insertion-order only) and a shallow snapshot of the
+  callback's bound receiver;
+* after the fire: the receiver's state is diffed against the snapshot;
+  every attribute the callback *rebound* is recorded, and a rebind of an
+  attribute a **different** callback already rebound in the same batch
+  is a collision — the runtime counterpart of static SIM016.
 
 The monitor observes and never perturbs: it schedules nothing, mutates
 nothing it observes, holds only transient references, and the golden
@@ -32,7 +29,9 @@ OBSERVABILITY.md for the record shape.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, ContextManager, Dict, List, Optional, Tuple
+
+from repro.sim.taps import RACE, attach, invoke, tapping
 
 
 def _state_of(receiver: Any) -> Dict[str, Any]:
@@ -70,6 +69,8 @@ def _rebound(old: Any, new: Any) -> bool:
 class RaceMonitor:
     """Observes same-instant batches and records write collisions."""
 
+    kind = RACE
+
     def __init__(self, log_path: Optional[str] = None) -> None:
         self.log_path = log_path
         #: Collision records, in observation order (see OBSERVABILITY.md).
@@ -83,24 +84,23 @@ class RaceMonitor:
         #: current batch.  The receiver reference keeps the object alive
         #: so ids cannot be recycled within a batch.
         self._writers: Dict[Tuple[int, str], Tuple[str, Any]] = {}
-        #: (receiver, before-snapshot, qualname, time, priority) of the
-        #: event currently firing, or None.
-        self._pending: Optional[Tuple[Any, Dict[str, Any], str, float, int]] = None
-
-    # -- attachment ----------------------------------------------------
 
     def attach(self, sim: Any) -> None:
-        """Attach to a simulator's passive ``race`` slot."""
-        sim.race = self
+        """Tap a simulator."""
+        attach(sim, self)
 
-    # -- engine hooks --------------------------------------------------
+    # -- the tap -------------------------------------------------------
 
-    def on_event_fired(
-        self, when: float, priority: int, callback: Callable[..., None]
+    def fire(
+        self,
+        when: float,
+        priority: int,
+        callback: Callable[..., None],
+        args: tuple,
+        call: Callable[..., None] = invoke,
     ) -> None:
-        """Called by the engine loop immediately before a callback fires."""
+        """Fire one event, diffing its receiver's state around the call."""
         self.events += 1
-        self._pending = None  # drop stale state from a raised callback
         batch_key = (when, priority)
         if batch_key != self._batch:
             self._batch = batch_key
@@ -108,20 +108,13 @@ class RaceMonitor:
             self.batches += 1
         receiver = getattr(callback, "__self__", None)
         if receiver is None:
-            return  # plain function: no instance state to trace
-        qualname = getattr(callback, "__qualname__", repr(callback))
-        self._pending = (
-            receiver, _state_of(receiver), qualname, when, priority
-        )
-
-    def on_event_settled(self) -> None:
-        """Called by the engine loop after the callback returned."""
-        pending = self._pending
-        if pending is None:
+            # Plain function: no instance state to trace.
+            call(when, priority, callback, args)
             return
-        self._pending = None
-        receiver, before, qualname, when, priority = pending
+        before = _state_of(receiver)
+        call(when, priority, callback, args)
         after = _state_of(receiver)
+        qualname = getattr(callback, "__qualname__", repr(callback))
         missing = object()
         for attr in after.keys() | before.keys():
             if not _rebound(before.get(attr, missing), after.get(attr, missing)):
@@ -181,4 +174,19 @@ class RaceMonitor:
             handle.write(json.dumps(summary, sort_keys=True) + "\n")
 
 
-__all__ = ["RaceMonitor"]
+def race_monitoring(
+    monitor: Optional[RaceMonitor] = None,
+) -> ContextManager[RaceMonitor]:
+    """Run a block with an active race monitor.
+
+    Usage::
+
+        with race_monitoring() as monitor:
+            net = build_single_bottleneck(...)
+            net.sim.run(until=0.4)
+        collisions = monitor.collisions
+    """
+    return tapping(RACE, monitor if monitor is not None else RaceMonitor())
+
+
+__all__ = ["RaceMonitor", "race_monitoring"]

@@ -64,7 +64,7 @@ SEM_RULE_INFOS: Tuple[SemRuleInfo, ...] = (
         rationale=(
             "an observer hook call no observer class defines (or a defined "
             "hook nothing ever fires) is silent protocol drift between the "
-            "model and repro.validate / repro.obs"
+            "model and its observers and engine taps"
         ),
     ),
     SemRuleInfo(

@@ -39,8 +39,16 @@ _SEVERITIES: Dict[str, Severity] = {
     info.code: info.severity for info in SEM_RULE_INFOS
 }
 
-#: Module prefixes whose classes play the observer role (SIM014).
-OBSERVER_MODULE_PREFIXES = ("repro.validate", "repro.obs", "repro.lint.race")
+#: Module prefixes whose classes play the observer role (SIM014): every
+#: engine tap implementer (see repro.sim.taps) plus the validator's
+#: per-object observers.
+OBSERVER_MODULE_PREFIXES = (
+    "repro.validate",
+    "repro.obs",
+    "repro.lint.race",
+    "repro.lint.perf",
+    "repro.sim.taps",
+)
 
 _DERIVATION_ROUNDS = 8  # sink-passthrough fixpoint bound (call depth)
 
@@ -539,7 +547,16 @@ class ProjectAnalyzer:
                 defined.setdefault(str(hook["method"]), []).append(
                     (str(summary["path"]), int(hook["line"]), str(hook["class"]))
                 )
-        fired: Set[str] = set()
+        # A tap fires its own hooks from fire(): ``self.on_x(...)`` in an
+        # observer module is a dispatch site too (Profiler.on_fire).
+        fired: Set[str] = {
+            str(call["callee"]["name"])
+            for summary in observer_summaries
+            for function in summary["functions"].values()
+            for call in function["calls"]
+            if call["callee"].get("self")
+            and str(call["callee"]["name"]).startswith("on_")
+        }
         findings: List[Finding] = []
         for summary in program.summaries:
             for hook in summary.get("hook_calls", []):
@@ -554,9 +571,8 @@ class ProjectAnalyzer:
                             code="SIM014",
                             message=(
                                 f"{hook['receiver']}.{method}(...) matches no "
-                                "on_* method on any observer in "
-                                "repro.validate / repro.obs; the event is "
-                                "silently dropped"
+                                "on_* method on any observer or tap; the "
+                                "event is silently dropped"
                             ),
                             severity=_SEVERITIES["SIM014"],
                         )

@@ -13,13 +13,13 @@ from typing import Callable, List, Optional, Sequence
 from repro.net.network import Network
 from repro.net.packet import MSS_BYTES
 from repro.net.routing import Path
+from repro.sim.taps import VALIDATE, active
 from repro.sim.units import Seconds
 from repro.transport.flow import echo_mode_for
 from repro.transport.receiver import DEFAULT_DELACK_TIMEOUT, Receiver
 from repro.transport.tcp import InfiniteSource, TcpSender, segments_for_bytes
 from repro.mptcp.coupling import create_coupling
 from repro.mptcp.scheduler import SharedSegmentPool
-from repro.validate.hooks import active_validator
 
 
 class Subflow:
@@ -98,7 +98,7 @@ class MptcpConnection:
         self.subflows: List[Subflow] = []
         for path in paths:
             self.add_subflow(path)
-        validator = active_validator()
+        validator = active(VALIDATE)
         if validator is not None:
             validator.watch_connection(self)
 

@@ -9,33 +9,16 @@ next waiting packet (if any) starts serializing.
 This is the standard NS-3-style point-to-point model the paper's
 simulations used: per-egress-port queue + transmitter + propagation.
 
-Service modes
--------------
-
-The default **exact mode** schedules one serialization-finish event per
-packet, so link state (busy flag, byte counters, queue occupancy) changes
-at exactly the instants hardware would change it, and the golden traces
-pin its event order bit-for-bit.  Per-packet events go through
+Service is exact: one serialization-finish event per packet, so link
+state (busy flag, byte counters, queue occupancy) changes at exactly the
+instants hardware would change it, and the golden traces pin its event
+order bit-for-bit.  Per-packet events go through
 :meth:`Simulator.post` — they are never cancelled, so no
 :class:`~repro.sim.events.Event` handle is allocated for them.
-
-Opt-in **batched mode** (``Link(batch=N)`` with N > 1, or the
-``REPRO_LINK_BATCH`` environment variable for a whole run) drains up to N
-queued packets per scheduler event: one train-finished event replaces N
-serialization-finish events, with every delivery still posted at its
-exact per-packet arrival time.  Queue occupancy then drops in steps of up
-to N at train boundaries instead of one per serialization slot, so AQM
-marking decisions — and therefore traces — can differ from exact mode;
-byte counters are committed at train *start*.  Batched mode also assumes
-links stay up mid-train (deliveries are already posted), so failure
-experiments (Fig. 7) should keep the exact default.  Use it for
-throughput-bound sweeps where per-cell statistics, not per-packet event
-order, are the product.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Optional
 
 from repro.net.packet import Packet
@@ -45,23 +28,6 @@ from repro.sim.units import BitsPerSecond, Seconds
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Node
     from repro.sim.engine import Simulator
-
-
-def default_link_batch() -> int:
-    """The process-wide default service batch size.
-
-    Reads ``REPRO_LINK_BATCH`` once per link construction (mirroring how
-    :mod:`repro.obs.hooks` reads ``REPRO_PROFILE``); unset, empty or
-    invalid values mean 1, i.e. exact per-packet service.
-    """
-    raw = os.environ.get("REPRO_LINK_BATCH", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return value if value > 1 else 1
 
 
 class Link:
@@ -77,7 +43,6 @@ class Link:
         "queue",
         "up",
         "busy",
-        "batch",
         "bytes_transmitted",
         "packets_transmitted",
         "bytes_offered",
@@ -97,7 +62,6 @@ class Link:
         delay: Seconds,
         queue: Optional[DropTailQueue] = None,
         layer: str = "",
-        batch: Optional[int] = None,
     ) -> None:
         if rate_bps <= 0:
             raise ValueError(f"link rate must be positive, got {rate_bps}")
@@ -112,17 +76,14 @@ class Link:
         self.queue = queue if queue is not None else DropTailQueue()
         self.up = True
         self.busy = False
-        #: Packets served per scheduler event; 1 = exact per-packet mode.
-        self.batch = default_link_batch() if batch is None else max(1, int(batch))
         self.bytes_transmitted = 0
         self.packets_transmitted = 0
         self.bytes_offered = 0
         self.layer = layer
         #: Validation observer storage (see :mod:`repro.validate`): the
         #: slot lives here so a watched link's generated subclass shares
-        #: this layout; the exact-mode transmit path never consults it
-        #: (the observed subclass wraps ``_finish_transmission``), the
-        #: batched path fires ``observer.on_transmit`` per packet itself.
+        #: this layout; the transmit path never consults it (the
+        #: observed subclass wraps ``_finish_transmission``).
         self.observer = None
         self._deliver = dst.receive
         self._serve = self._finish_transmission
@@ -161,12 +122,7 @@ class Link:
         # serializing right away (the queue only ever holds *waiting*
         # packets, which is what the marking threshold is compared to).
         self.busy = True
-        if self.batch > 1:
-            self._start_train(packet)
-        else:
-            self.sim.post(
-                packet.size * 8.0 / self.rate_bps, self._serve, packet
-            )
+        self.sim.post(packet.size * 8.0 / self.rate_bps, self._serve, packet)
         return True
 
     def set_down(self) -> None:
@@ -191,8 +147,6 @@ class Link:
         return min(1.0, self.bytes_transmitted * 8.0 / (self.rate_bps * duration))
 
     # ------------------------------------------------------------------
-    # Exact per-packet service (default)
-    # ------------------------------------------------------------------
 
     def _finish_transmission(self, packet: Packet) -> None:
         # The per-packet hot path: serialization start is fused into this
@@ -216,59 +170,9 @@ class Link:
         self.queue.pop()
         self.busy = False
 
-    # ------------------------------------------------------------------
-    # Batched train service (opt-in, see module docstring)
-    # ------------------------------------------------------------------
-
-    def _start_train(self, packet: Packet) -> None:
-        """Serve up to ``batch`` back-to-back packets in one event.
-
-        Deliveries are posted at each packet's exact serialization-finish
-        time plus propagation, so arrival instants match exact mode; only
-        the intermediate link/queue state transitions are coalesced.
-        """
-        sim = self.sim
-        inv_rate = 8.0 / self.rate_bps
-        delay = self.delay
-        receive = self._deliver
-        pop = self.queue.pop
-        observer = self.observer
-        offset = 0.0
-        count = 0
-        while True:
-            offset += packet.size * inv_rate
-            self.bytes_transmitted += packet.size
-            self.packets_transmitted += 1
-            if observer is not None:
-                observer.on_transmit(self, packet)
-            sim.post(offset + delay, receive, packet)
-            count += 1
-            if count >= self.batch:
-                break
-            next_packet = pop()
-            if next_packet is None:
-                break
-            packet = next_packet
-        profiler = sim.profiler
-        if profiler is not None:
-            profiler.on_batch(count)
-        sim.post(offset, self._train_finished)
-
-    def _train_finished(self) -> None:
-        if not self.up:
-            # set_down already drained the queue; deliveries posted before
-            # the failure still arrive (see module docstring).
-            self.busy = False
-            return
-        next_packet = self.queue.pop()
-        if next_packet is not None:
-            self._start_train(next_packet)
-        else:
-            self.busy = False
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "up" if self.up else "DOWN"
         return f"Link({self.name}, {self.rate_bps/1e9:.3f}Gbps, {state})"
 
 
-__all__ = ["Link", "default_link_batch"]
+__all__ = ["Link"]

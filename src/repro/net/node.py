@@ -74,8 +74,8 @@ class Switch(Node):
             # The busy-transmitter branch of Link.enqueue, inlined: on a
             # loaded fabric most transit packets take it, and the saved
             # frame is measurable.  Everything else (idle transmitter,
-            # downed link, batched trains) falls through to the real
-            # method, which redoes its own offered-bytes accounting.
+            # downed link) falls through to the real method, which redoes
+            # its own offered-bytes accounting.
             link.bytes_offered += packet.size
             link.queue.accept(packet)
             return

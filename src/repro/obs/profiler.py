@@ -1,19 +1,20 @@
 """The engine profiler: where simulation wall-time goes, by component.
 
-A :class:`Profiler` is an opt-in observer on
-:class:`~repro.sim.engine.Simulator` (the ``sim.profiler`` slot).  While
-attached it buckets every fired event — count and cumulative callback
-wall-time — under a *component* key derived from the callback's
-``__module__``/``__qualname__`` (``net.link.Link._finish_transmission``,
-``transport.tcp.TcpSender._on_ack``, ...), and tracks heap health:
-pushes, pops, compactions and peak heap size.
+A :class:`Profiler` is an opt-in tap on
+:class:`~repro.sim.engine.Simulator` (see :mod:`repro.sim.taps`; read it
+back as ``sim.profiler``).  While attached it buckets every fired event
+— count and cumulative callback wall-time — under a *component* key
+derived from the callback's ``__module__``/``__qualname__``
+(``net.link.Link._finish_transmission``,
+``transport.tcp.TcpSender._on_ack``, ...), and reports heap health —
+pushes, pops, compactions, promotions, far spills, peak size — from the
+engine's own counters over the attached window.
 
-The zero-cost-when-disabled contract matches :mod:`repro.validate`: an
-unprofiled simulator pays one aliased ``is None`` branch per event in the
-loop and one per ``schedule()`` — nothing else.  The engine itself never
-reads a host clock; it calls the :attr:`Profiler.clock` the profiler
-hands it, so the wall-clock read lives here (the one module besides the
-runner's cell timer that simlint's SIM002 allowlists).
+An unprofiled simulator pays nothing: the engine runs its leanest loop
+whenever no tap is attached.  The engine itself never reads a host
+clock; the wall-clock read lives in :attr:`Profiler.clock` here (the one
+module besides the runner's cell timer that simlint's SIM002
+allowlists).
 
 Wall-times are obviously host-dependent; everything else in a
 :class:`ProfileSnapshot` — per-component event counts, heap counters — is
@@ -25,7 +26,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, ContextManager, Dict, List, Optional, Tuple
+
+from repro.sim.taps import PROFILE, attach, detach, invoke, tapping
 
 #: Strip this prefix from callback modules: every component is ours.
 _PACKAGE_PREFIX = "repro."
@@ -60,11 +63,14 @@ class HeapStats:
     """Scheduler-health counters over the profiled window.
 
     The name predates the calendar-queue engine; the counters now cover
-    its three tiers.  ``promotions``/``max_run`` count sorted-run rebuilds
-    and the largest run seen, ``far_spills`` counts records pulled from
-    the far heap into near buckets, and ``batches``/``batched_packets``
-    count link service trains when batched mode is enabled (see
-    :mod:`repro.net.link`); all zero under exact per-packet service.
+    its three tiers.  Every field is read from the engine's own
+    counters at attach and at detach (or at snapshot time while still
+    attached).  ``pushes`` counts scheduled records and ``pops`` fired
+    events plus cancelled discards.  ``promotions`` counts sorted-run
+    rebuilds and ``far_spills`` records pulled from the far tier into
+    near buckets.  ``peak_size`` (the largest pending-record count,
+    sampled at each promotion) and ``max_run`` (the largest promoted
+    run) are simulator-lifetime maxima up to detach.
     """
 
     pushes: int
@@ -74,8 +80,6 @@ class HeapStats:
     promotions: int = 0
     far_spills: int = 0
     max_run: int = 0
-    batches: int = 0
-    batched_packets: int = 0
 
 
 @dataclass(frozen=True)
@@ -120,8 +124,6 @@ class ProfileSnapshot:
                 "promotions": self.heap.promotions,
                 "far_spills": self.heap.far_spills,
                 "max_run": self.heap.max_run,
-                "batches": self.heap.batches,
-                "batched_packets": self.heap.batched_packets,
             },
         }
 
@@ -148,24 +150,37 @@ class ProfileSnapshot:
         )
         lines.append(
             f"calendar: {heap.promotions:,} promotions "
-            f"(max run {heap.max_run:,}), {heap.far_spills:,} far spills, "
-            f"{heap.batches:,} link trains ({heap.batched_packets:,} packets)"
+            f"(max run {heap.max_run:,}), {heap.far_spills:,} far spills"
         )
         return "\n".join(lines)
+
+
+def _engine_counters(sim: Any) -> Tuple[int, ...]:
+    """``sim``'s counters: five running totals, then two lifetime maxima."""
+    return (
+        sim.pushes,
+        sim.events_processed + sim.discards,
+        sim.compactions,
+        sim.promotions,
+        sim.far_spills,
+        sim.peak_pending,
+        sim.max_run,
+    )
 
 
 class Profiler:
     """Buckets fired events and callback wall-time by component.
 
     Attach with :meth:`attach` (or construct objects under
-    :func:`repro.obs.hooks.profiling` and let
-    :class:`~repro.net.network.Network` attach its simulator for you),
-    run the simulation, then :meth:`snapshot`.
+    :func:`profiling` and let :class:`~repro.net.network.Network` attach
+    its simulator for you), run the simulation, then :meth:`snapshot`.
     """
 
-    #: The host clock the engine's timed dispatch uses.  Living here —
-    #: not in the engine — keeps SIM002's "no wall clocks in simulation
-    #: code" guarantee intact for repro.sim.
+    kind = PROFILE
+
+    #: The host clock the timed dispatch uses.  Living here — not in the
+    #: engine — keeps SIM002's "no wall clocks in simulation code"
+    #: guarantee intact for repro.sim.
     clock = staticmethod(time.perf_counter)
 
     def __init__(self) -> None:
@@ -175,38 +190,46 @@ class Profiler:
         #: function object -> component name memo (avoids re-deriving
         #: strings for every fired event).
         self._names: Dict[Any, str] = {}
-        self._sims: List[Any] = []
-        self.pushes = 0
-        self.pops = 0
-        self.peak_size = 0
-        self.promotions = 0
-        self.max_run = 0
-        self.batches = 0
-        self.batched_packets = 0
+        #: One [sim, counters at attach, counters at detach or None] per
+        #: attachment.
+        self._windows: List[List[Any]] = []
 
     # -- attachment ----------------------------------------------------
 
     def attach(self, sim: Any) -> None:
-        """Start profiling ``sim`` (its ``profiler`` slot points here)."""
-        sim.profiler = self
-        self._sims.append(sim)
+        """Start profiling ``sim`` (``sim.profiler`` is then this profiler)."""
+        if sim.profiler is self:
+            return
+        attach(sim, self)
+        self._windows.append([sim, _engine_counters(sim), None])
 
     def detach(self, sim: Any) -> None:
-        """Stop profiling ``sim``; its counters stay in this profiler."""
-        if sim.profiler is self:
-            sim.profiler = None
+        """Stop profiling ``sim``; its counters so far stay in this profiler."""
+        if sim.profiler is not self:
+            return
+        detach(sim, self)
+        for window in self._windows:
+            if window[0] is sim and window[2] is None:
+                window[2] = _engine_counters(sim)
 
-    # -- engine callbacks (hot path) -----------------------------------
+    # -- the tap (hot path) --------------------------------------------
 
-    def on_push(self, heap_size: int) -> None:
-        """One ``schedule()``; ``heap_size`` is the heap after the push."""
-        self.pushes += 1
-        if heap_size > self.peak_size:
-            self.peak_size = heap_size
+    def fire(
+        self,
+        time: float,
+        priority: int,
+        callback: Callable[..., Any],
+        args: tuple,
+        call: Callable[..., None] = invoke,
+    ) -> None:
+        """Time one fired event and book it under its component."""
+        clock = self.clock
+        started = clock()
+        call(time, priority, callback, args)
+        self.on_fire(callback, clock() - started)
 
     def on_fire(self, callback: Callable[..., Any], elapsed: float) -> None:
         """One fired event: ``elapsed`` seconds spent in ``callback``."""
-        self.pops += 1
         func = getattr(callback, "__func__", callback)
         name = self._names.get(func)
         if name is None:
@@ -219,21 +242,6 @@ class Profiler:
             bucket[0] += 1
             bucket[1] += elapsed
 
-    def on_discard(self) -> None:
-        """One cancelled event popped (and skipped) by the loop."""
-        self.pops += 1
-
-    def on_promote(self, run_size: int) -> None:
-        """One near-bucket promotion produced a sorted run of ``run_size``."""
-        self.promotions += 1
-        if run_size > self.max_run:
-            self.max_run = run_size
-
-    def on_batch(self, packets: int) -> None:
-        """One batched link train served ``packets`` back-to-back packets."""
-        self.batches += 1
-        self.batched_packets += packets
-
     # -- results -------------------------------------------------------
 
     def snapshot(self) -> ProfileSnapshot:
@@ -242,18 +250,23 @@ class Profiler:
             ComponentStat(name, bucket[0], bucket[1])
             for name, bucket in sorted(self._buckets.items())
         )
+        totals = [0] * 5
+        peak_size = max_run = 0
+        for sim, start, end in self._windows:
+            now = end if end is not None else _engine_counters(sim)
+            for i in range(5):
+                totals[i] += now[i] - start[i]
+            peak_size = max(peak_size, now[5])
+            max_run = max(max_run, now[6])
+        pushes, pops, compactions, promotions, far_spills = totals
         heap = HeapStats(
-            pushes=self.pushes,
-            pops=self.pops,
-            compactions=sum(sim.compactions for sim in self._sims),
-            peak_size=self.peak_size,
-            promotions=self.promotions,
-            far_spills=sum(
-                getattr(sim, "far_spills", 0) for sim in self._sims
-            ),
-            max_run=self.max_run,
-            batches=self.batches,
-            batched_packets=self.batched_packets,
+            pushes=pushes,
+            pops=pops,
+            compactions=compactions,
+            peak_size=peak_size,
+            promotions=promotions,
+            far_spills=far_spills,
+            max_run=max_run,
         )
         return ProfileSnapshot(
             components=components,
@@ -263,10 +276,23 @@ class Profiler:
         )
 
 
+def profiling(profiler: Optional[Profiler] = None) -> ContextManager[Profiler]:
+    """Run a block with an active profiler.
+
+    Usage::
+
+        with profiling() as prof:
+            run_fig1(Fig1Config())
+        print(prof.snapshot().format())
+    """
+    return tapping(PROFILE, profiler if profiler is not None else Profiler())
+
+
 __all__ = [
     "ComponentStat",
     "HeapStats",
     "ProfileSnapshot",
     "Profiler",
     "component_of",
+    "profiling",
 ]

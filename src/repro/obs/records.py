@@ -27,7 +27,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; see run_record()
 
 #: Bump when the JSONL record layout changes incompatibly.
 #: 2: added the ``backend`` field (packet vs fluid execution).
-TELEMETRY_SCHEMA = 2
+#: 3: the profile's heap dict lost ``batches``/``batched_packets``, and
+#: ``peak_size`` is now sampled at promotion instead of at every push.
+TELEMETRY_SCHEMA = 3
 
 #: Wall-clock top-level record fields (host-dependent, never compared).
 WALL_CLOCK_FIELDS = ("wall_time_s", "wall_sim_ratio")
@@ -177,9 +179,8 @@ def run_record(result: "RunResult") -> dict:
     hot-spot table, heap health).  Cached cells carry ``"profile": null``:
     nothing executed, so there is nothing to profile.
     """
-    # Imported here, not at module scope: repro.net.network consults
-    # repro.obs.hooks at import time, and pulling repro.runner (which
-    # imports the repro package root) into that chain would be a cycle.
+    # Imported here, not at module scope: repro.runner imports the repro
+    # package root, which ``import repro.obs`` must not drag in.
     from repro.runner.cache import spec_fingerprint
     from repro.runner.registry import BACKEND_PACKET, backend_of
 

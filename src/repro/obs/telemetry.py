@@ -27,7 +27,7 @@ import os
 import pathlib
 from typing import Any, Iterable, List, Optional
 
-from repro.obs.hooks import telemetry_dir
+from repro.sim.taps import telemetry_dir
 from repro.obs.records import run_record, to_jsonl
 
 #: File every campaign appends its per-run records to.

@@ -105,29 +105,24 @@ def execute(spec: RunSpec) -> RunResult:
     snapshot lands in ``metrics.profile``.  Profiling observes only; the
     result value is byte-identical with and without it.
     """
-    from repro.obs import hooks as obs_hooks
-    from repro.validate.hooks import validation_requested
+    from repro.sim import taps
 
     run = kind_entry(spec.kind).resolve()
     checks = 0
     profiler = None
-    if obs_hooks.profiling_requested():
+    if taps.requested(taps.PROFILE):
         from repro.obs.profiler import Profiler
 
         profiler = Profiler()
-        obs_hooks.activate(profiler)
+        taps.activate(taps.PROFILE, profiler)
     started = time.perf_counter()
     try:
-        if validation_requested():
-            from repro.validate.hooks import activate, deactivate
+        if taps.requested(taps.VALIDATE):
             from repro.validate.invariants import Validator
 
             validator = Validator()
-            activate(validator)
-            try:
+            with taps.tapping(taps.VALIDATE, validator):
                 value = run(spec.config)
-            finally:
-                deactivate(validator)
             validator.finish()
             validator.raise_if_violations(context=spec.label())
             checks = validator.checks
@@ -135,7 +130,7 @@ def execute(spec: RunSpec) -> RunResult:
             value = run(spec.config)
     finally:
         if profiler is not None:
-            obs_hooks.deactivate(profiler)
+            taps.deactivate(taps.PROFILE, profiler)
     wall = time.perf_counter() - started
     metrics = CellMetrics(
         wall_time_s=wall,

@@ -61,6 +61,7 @@ from bisect import bisect_left, insort
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.sim.events import Event
+from repro.sim.taps import PROFILE, attached, invoke
 
 #: One packed event record; ``event`` is None for post()-ed records.
 EventRecord = Tuple[float, int, int, Optional[Event], Callable[..., None], tuple]
@@ -137,31 +138,15 @@ class Simulator:
         self._promotions = 0
         self._far_spills = 0
         self._max_run = 0
-        #: Optional validation observer (see :mod:`repro.validate`): when
-        #: set *before* :meth:`run`, ``observer.on_event(time)`` fires for
-        #: every event.  ``None`` (the default) costs one aliased branch.
-        self.observer: Optional[Any] = None
-        #: Optional engine profiler (see :mod:`repro.obs`): when set,
-        #: every fired callback is timed with the profiler's own clock
-        #: and bucketed by component, and scheduler traffic is counted.
-        #: ``None`` (the default) costs one aliased branch per event and
-        #: one per :meth:`schedule` — the <3% zero-cost contract.
-        self.profiler: Optional[Any] = None
-        #: Optional same-instant race sanitizer (see :mod:`repro.lint.race`):
-        #: when set, ``race.on_event_fired(time, priority, callback)`` /
-        #: ``race.on_event_settled()`` bracket every fired callback so the
-        #: monitor can diff receiver state within equal-``(time, priority)``
-        #: batches.  Purely observational; ``None`` (the default) keeps the
-        #: leanest loop in play — the same zero-cost contract as above.
-        self.race: Optional[Any] = None
-        #: Optional allocation sanitizer (see :mod:`repro.lint.perf`):
-        #: when set, ``alloc.on_event_fired(time, priority, callback)`` /
-        #: ``alloc.on_event_settled()`` bracket every fired callback so
-        #: the monitor can attribute tracemalloc peak deltas to
-        #: registered hot functions.  Purely observational; ``None``
-        #: (the default) keeps the leanest loop in play — the fourth
-        #: seam under the same zero-cost contract.
-        self.alloc: Optional[Any] = None
+        self._discards = 0
+        self._peak_pending = 0
+        #: The tap slot (see :mod:`repro.sim.taps`): one object whose
+        #: ``fire(time, priority, callback, args)`` runs every fired
+        #: callback, bracketed by the attached validator, race monitor,
+        #: profiler and allocation monitor.  Read once per :meth:`run`;
+        #: ``None`` (the default) keeps the leanest loop in play.
+        #: Change it through :func:`repro.sim.taps.attach`/``detach``.
+        self.tap: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # Clock
@@ -211,6 +196,26 @@ class Simulator:
         """Largest promoted run size seen (scheduler health metric)."""
         return self._max_run
 
+    @property
+    def pushes(self) -> int:
+        """Records scheduled so far (every push consumes one ``seq``)."""
+        return self._seq
+
+    @property
+    def discards(self) -> int:
+        """Cancelled records the tapped loop popped and skipped."""
+        return self._discards
+
+    @property
+    def peak_pending(self) -> int:
+        """Largest pending-record count sampled at a promotion."""
+        return self._peak_pending
+
+    @property
+    def profiler(self) -> Optional[Any]:
+        """The attached :class:`~repro.obs.profiler.Profiler`, or ``None``."""
+        return attached(self, PROFILE)
+
     def iter_pending(self) -> Iterator[EventRecord]:
         """Yield every pending record (unspecified order; diagnostics/tests)."""
         yield from self._run[self._run_i:]
@@ -259,8 +264,6 @@ class Simulator:
             self._far.append(record)
             if time < self._far_tail_min:
                 self._far_tail_min = time
-        if self.profiler is not None:
-            self.profiler.on_push(self.pending_events)
         return event
 
     def post(
@@ -294,8 +297,6 @@ class Simulator:
             self._far.append(record)
             if time < self._far_tail_min:
                 self._far_tail_min = time
-        if self.profiler is not None:
-            self.profiler.on_push(self.pending_events)
 
     def schedule_at(
         self,
@@ -462,9 +463,9 @@ class Simulator:
                 i < self._far_sorted and far[i][0] < horizon
             ):
                 self._spill_far(horizon)
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.on_promote(size)
+        pending = len(run) + len(self._near) + len(self._far) - self._far_i
+        if pending > self._peak_pending:
+            self._peak_pending = pending
         return True
 
     # ------------------------------------------------------------------
@@ -488,16 +489,7 @@ class Simulator:
         self._running = True
         self._stopped = False
         stop_time = _INF if until is None else until
-        remaining = _INF if max_events is None else max_events
-        observer = self.observer
-        profiler = self.profiler
-        race = self.race
-        alloc = self.alloc
-        # The profiler supplies its own host clock: repro.sim never reads
-        # wall time itself (simlint SIM002), it only times on request.
-        clock: Optional[Callable[[], float]] = (
-            profiler.clock if profiler is not None else None
-        )
+        tap = self.tap
         # Both loops re-read _run/_run_i every iteration (a cancel inside
         # a callback can trigger a compaction that rebuilds the run and
         # rewinds the index) and fetch the next record with a narrow
@@ -505,13 +497,10 @@ class Simulator:
         # means "run consumed", because nothing else runs inside the try.
         exhausted = False
         try:
-            if (
-                observer is None and clock is None and max_events is None
-                and race is None and alloc is None
-            ):
+            if tap is None and max_events is None:
                 # Leanest loop: the default configuration for experiments
-                # (no hooks, no event budget).  Identical semantics minus
-                # the hook calls and the ``remaining`` countdown; keeping
+                # (no tap, no event budget).  Identical semantics minus
+                # the tap call and the ``remaining`` countdown; keeping
                 # the hot loop branch-free is worth the duplication.
                 while True:
                     i = self._run_i
@@ -546,48 +535,11 @@ class Simulator:
                     self._events_processed += 1
                     if self._stopped:
                         break
-            elif (
-                observer is None and clock is None and race is None
-                and alloc is None
-            ):
-                # Lean loop with an event budget (max_events).
-                while True:
-                    i = self._run_i
-                    run = self._run
-                    try:
-                        record = run[i]
-                    except IndexError:
-                        if self._promote():  # simperf: allow-alloc(amortized: one rebuild per calendar batch)
-                            continue
-                        exhausted = True
-                        break
-                    time = record[0]
-                    if time > stop_time:
-                        if stop_time > self._now:
-                            self._now = stop_time
-                        break
-                    event = record[3]
-                    if event is not None:
-                        if event.cancelled:
-                            self._run_i = i + 1
-                            event.sim = None
-                            self._cancelled_pending -= 1
-                            continue
-                        event.sim = None
-                    self._run_i = i + 1
-                    self._now = time
-                    args = record[5]
-                    if args:
-                        record[4](*args)  # simlint: disable=SIM023 - unpacking an existing tuple is the fast variadic call shape
-                    else:
-                        record[4]()
-                    self._events_processed += 1
-                    if self._stopped:
-                        break
-                    remaining -= 1
-                    if remaining <= 0:
-                        break
             else:
+                # General loop: a tap, an event budget (max_events), or
+                # both.  The tap fires the callback itself.
+                fire = tap.fire if tap is not None else invoke
+                remaining = _INF if max_events is None else max_events
                 while True:
                     i = self._run_i
                     run = self._run
@@ -609,31 +561,12 @@ class Simulator:
                             self._run_i = i + 1
                             event.sim = None
                             self._cancelled_pending -= 1
-                            if profiler is not None:
-                                profiler.on_discard()
+                            self._discards += 1
                             continue
                         event.sim = None
                     self._run_i = i + 1
                     self._now = time
-                    if observer is not None:
-                        observer.on_event(time)
-                    if race is not None:
-                        race.on_event_fired(time, record[1], record[4])
-                    # alloc brackets the callback innermost so the
-                    # tracemalloc window excludes the other hooks.
-                    if alloc is not None:
-                        alloc.on_event_fired(time, record[1], record[4])
-                    if clock is None:
-                        record[4](*record[5])  # simlint: disable=SIM023 - unpacking an existing tuple is the fast variadic call shape
-                    else:
-                        started = clock()
-                        record[4](*record[5])  # simlint: disable=SIM023 - unpacking an existing tuple is the fast variadic call shape
-                        assert profiler is not None
-                        profiler.on_fire(record[4], clock() - started)
-                    if alloc is not None:
-                        alloc.on_event_settled()
-                    if race is not None:
-                        race.on_event_settled()
+                    fire(time, record[1], record[4], record[5])
                     self._events_processed += 1
                     if self._stopped:
                         break
@@ -679,6 +612,8 @@ class Simulator:
         self._promotions = 0
         self._far_spills = 0
         self._max_run = 0
+        self._discards = 0
+        self._peak_pending = 0
         self._stopped = False
 
 

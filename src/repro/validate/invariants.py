@@ -5,8 +5,8 @@ marking rule (paper §2.1), the once-per-round BOS reduction machine
 (Fig. 2 / Algorithm 1), TraSh's per-round δ (Eq. 9), and plain
 conservation laws every discrete-event network model must obey.  A
 :class:`Validator` attaches lightweight observers to simulators, queues,
-links and senders as they are constructed (see
-:mod:`repro.validate.hooks`) and checks:
+links and senders as they are constructed (see :func:`validating` and
+:mod:`repro.sim.taps`) and checks:
 
 * **sim-time monotonicity** — the event clock never moves backwards and
   the fired-event count matches what the observer saw;
@@ -38,16 +38,19 @@ swapping the instance's ``__class__`` for a generated subclass whose
 ``accept``/``pop``/``_finish_transmission`` notify the observer around
 the base implementation — the base classes' hot paths carry no check at
 all, so an un-validated run pays exactly nothing on the per-packet path.
-The simulator loop and the TCP ACK path keep a single aliased
-``observer is None`` branch instead (their methods are long-lived loops
-that cannot be swapped mid-run).
+The simulator is watched through its tap slot (:class:`SimObserver` is
+the validator's tap), and the TCP ACK path keeps a single aliased
+``observer is None`` branch (a long-lived method that cannot be swapped
+mid-run).
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, Callable, Iterator, List, Optional
 
+from repro.sim.taps import VALIDATE, attach, attached, invoke, tapping
 from repro.transport.cc import MIN_CWND
 
 #: Slack for float comparisons in window-law checks.
@@ -158,9 +161,15 @@ def _observed_link_class(cls: type) -> type:
 
 
 class SimObserver:
-    """Watches one simulator: monotonic clock, consistent event counter."""
+    """Watches one simulator: monotonic clock, consistent event counter.
+
+    The validator's tap (see :mod:`repro.sim.taps`): every fired event
+    passes through :meth:`fire`.
+    """
 
     __slots__ = ("validator", "sim", "last_time", "events_seen", "base_events")
+
+    kind = VALIDATE
 
     def __init__(self, validator: "Validator", sim: Any) -> None:
         self.validator = validator
@@ -169,7 +178,14 @@ class SimObserver:
         self.events_seen = 0
         self.base_events = sim.events_processed
 
-    def on_event(self, time: float) -> None:
+    def fire(
+        self,
+        time: float,
+        priority: int,
+        callback: Callable[..., None],
+        args: tuple,
+        call: Callable[..., None] = invoke,
+    ) -> None:
         v = self.validator
         v.checks += 2
         if time < self.last_time:
@@ -182,6 +198,7 @@ class SimObserver:
             v.record("sim-time-monotonic", "simulator", f"non-finite or negative event time {time!r}")
         self.last_time = time
         self.events_seen += 1
+        call(time, priority, callback, args)
 
     def finish(self) -> None:
         v = self.validator
@@ -546,8 +563,8 @@ class BosObserver:
 class Validator:
     """Collects observers and violations for one validated run.
 
-    Attach it through :func:`repro.validate.hooks.validating` (or
-    ``activate``/``deactivate``); constructors in the instrumented
+    Activate it with :func:`validating` (or
+    :func:`repro.sim.taps.activate`); constructors in the instrumented
     modules register new simulators, queues, links, senders and
     connections automatically.  Call :meth:`finish` after the simulation
     to run the post-hoc conservation sweeps, then
@@ -569,12 +586,12 @@ class Validator:
 
     # -- registration ---------------------------------------------------
 
-    def watch_sim(self, sim: Any) -> None:
-        """Instrument a simulator (idempotent per object)."""
-        if sim.observer is not None:
+    def attach(self, sim: Any) -> None:
+        """Tap a simulator with a :class:`SimObserver` (idempotent per object)."""
+        if attached(sim, VALIDATE) is not None:
             return
         observer = SimObserver(self, sim)
-        sim.observer = observer
+        attach(sim, observer)
         self._sim_observers.append(observer)
 
     def watch_queue(self, queue: Any, label: str = "queue") -> None:
@@ -727,11 +744,42 @@ class Validator:
         )
 
 
+@contextlib.contextmanager
+def validating(
+    validator: Optional[Validator] = None,
+    finish: bool = True,
+    raise_on_violation: bool = True,
+) -> Iterator[Validator]:
+    """Run a block with an active validator; finish and (optionally) raise.
+
+    Usage::
+
+        with validating() as v:
+            net = build_single_bottleneck(...)
+            ...
+            net.sim.run(until=0.5)
+        # post-run checks ran; InvariantError raised if anything fired
+
+    Pass ``raise_on_violation=False`` to inspect ``v.violations`` yourself
+    (the negative tests do), or ``finish=False`` to also skip the post-run
+    sweep.
+    """
+    if validator is None:
+        validator = Validator()
+    with tapping(VALIDATE, validator):
+        yield validator
+    if finish:
+        validator.finish()
+    if raise_on_violation:
+        validator.raise_if_violations()
+
+
 __all__ = [
     "EPS",
     "InvariantError",
     "Violation",
     "Validator",
+    "validating",
     "SimObserver",
     "QueueObserver",
     "LinkObserver",

@@ -13,9 +13,9 @@ from repro.obs import (
     ProfileSnapshot,
     Profiler,
     component_of,
-    hooks,
     profiling,
 )
+from repro.sim import taps
 from repro.sim.engine import Simulator
 
 
@@ -118,6 +118,26 @@ class TestProfilerCounters:
         assert snap.heap.pushes == 1
         assert snap.events == 0  # the fire happened unprofiled
 
+    def test_detached_counters_stay_frozen(self, sim):
+        profiler = Profiler()
+        profiler.attach(sim)
+        sim.schedule(0.0, noop)
+        sim.run()
+        profiler.detach(sim)
+        before = profiler.snapshot()
+        # Work after detach — a compaction, far spills, promotions and
+        # a bigger pending set — must not move the snapshot.
+        cancelled = [sim.schedule(0.5, noop)
+                     for _ in range(Simulator.COMPACT_MIN_CANCELLED + 2)]
+        for event in cancelled:
+            event.cancel()
+        sim.schedule(1.0, noop)
+        sim.run()
+        assert sim.compactions >= 1
+        after = profiler.snapshot()
+        assert after.heap == before.heap
+        assert after.events == before.events == 1
+
     def test_multi_sim_aggregation(self):
         profiler = Profiler()
         sims = [Simulator(), Simulator()]
@@ -171,8 +191,7 @@ class TestSnapshot:
         }
         assert set(as_dict["heap"]) == {"pushes", "pops", "compactions",
                                         "peak_size", "promotions",
-                                        "far_spills", "max_run", "batches",
-                                        "batched_packets"}
+                                        "far_spills", "max_run"}
         text = snap.format()
         assert "Ticker.tick" in text
         assert "heap:" in text
@@ -194,34 +213,34 @@ class TestHooks:
     def test_nesting_innermost_wins(self):
         with profiling() as outer:
             with profiling() as inner:
-                assert hooks.active_profiler() is inner
-            assert hooks.active_profiler() is outer
-        assert hooks.active_profiler() is None
+                assert taps.active(taps.PROFILE) is inner
+            assert taps.active(taps.PROFILE) is outer
+        assert taps.active(taps.PROFILE) is None
 
     def test_deactivate_out_of_order_raises(self):
         outer, inner = Profiler(), Profiler()
-        hooks.activate(outer)
-        hooks.activate(inner)
+        taps.activate(taps.PROFILE, outer)
+        taps.activate(taps.PROFILE, inner)
         try:
             with pytest.raises(RuntimeError, match="out of order"):
-                hooks.deactivate(outer)
+                taps.deactivate(taps.PROFILE, outer)
         finally:
-            hooks.deactivate(inner)
-            hooks.deactivate(outer)
-        with pytest.raises(RuntimeError, match="no profiler"):
-            hooks.deactivate()
+            taps.deactivate(taps.PROFILE, inner)
+            taps.deactivate(taps.PROFILE, outer)
+        with pytest.raises(RuntimeError, match="no REPRO_PROFILE tap"):
+            taps.deactivate(taps.PROFILE)
 
     def test_profiling_requested_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_PROFILE", raising=False)
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        assert not hooks.profiling_requested()
+        assert not taps.requested(taps.PROFILE)
         monkeypatch.setenv("REPRO_PROFILE", "1")
-        assert hooks.profiling_requested()
+        assert taps.requested(taps.PROFILE)
         monkeypatch.setenv("REPRO_PROFILE", "0")
-        assert not hooks.profiling_requested()
+        assert not taps.requested(taps.PROFILE)
         monkeypatch.setenv("REPRO_TELEMETRY", "some/dir")
-        assert hooks.profiling_requested()  # telemetry implies profiling
-        assert hooks.telemetry_dir() == "some/dir"
+        assert taps.requested(taps.PROFILE)  # telemetry implies profiling
+        assert taps.telemetry_dir() == "some/dir"
 
 
 class TestZeroCostContract:

@@ -9,6 +9,9 @@ naive seed-style binary-heap scheduler defined below — and assert the
 fired sequences are identical, across dynamic (in-run) scheduling,
 ``post`` fast-path records, cancellations, same-instant priority ties,
 forced compaction, and ``run(until)`` / ``max_events`` interleavings.
+Each workload also reruns with a pass-through tap attached, which moves
+every run onto the engine's general (tapped) loop: the order must not
+change, and the tap must see each fired event once.
 (A flat "sort the creation log" oracle is *not* equivalent: an event
 created by a same-instant firing necessarily runs after its creator,
 which only an actual scheduler models.)
@@ -27,6 +30,7 @@ from heapq import heappop, heappush
 
 import pytest
 
+from repro.sim import taps
 from repro.sim.engine import Simulator
 
 try:
@@ -145,15 +149,33 @@ def interpret(sim, script, until_ticks=None, max_events=None):
     return fired
 
 
-def check_workload(script, until_ticks=None, max_events=None):
+class PassThroughTap:
+    """Records ``(time, priority)`` of every event it fires."""
+
+    kind = taps.PROFILE
+
+    def __init__(self):
+        self.seen = []
+
+    def fire(self, time, priority, callback, args, call=taps.invoke):
+        self.seen.append((time, priority))
+        call(time, priority, callback, args)
+
+
+def check_workload(script, until_ticks=None, max_events=None, tapped=False):
     real = Simulator()
     real.COMPACT_MIN_CANCELLED = 4  # instance attr shadows class default
+    tap = PassThroughTap()
+    if tapped:
+        taps.attach(real, tap)
     fired = interpret(real, script, until_ticks, max_events)
     reference = interpret(
         ReferenceSimulator(), script, until_ticks, max_events
     )
     assert fired == reference
     assert real.pending_events - real.cancelled_pending == 0
+    if tapped:
+        assert tap.seen == [(time, priority) for time, priority, _ in fired]
 
 
 # ----------------------------------------------------------------------
@@ -292,6 +314,24 @@ if HAVE_HYPOTHESIS:
     ):
         check_workload(script, until_ticks=until_ticks, max_events=max_events)
 
+    @given(scripts)
+    @settings(max_examples=120, deadline=None)
+    def test_tapped_calendar_matches_reference_order(script):
+        check_workload(script, tapped=True)
+
+    @given(
+        scripts,
+        st.integers(min_value=0, max_value=64),
+        st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_tapped_calendar_matches_reference_with_partial_runs(
+        script, until_ticks, max_events
+    ):
+        check_workload(
+            script, until_ticks=until_ticks, max_events=max_events, tapped=True
+        )
+
 else:  # pragma: no cover - minimal images only
 
     def _random_script(rng):
@@ -327,4 +367,19 @@ else:  # pragma: no cover - minimal images only
                 _random_script(rng),
                 until_ticks=rng.randrange(0, 65),
                 max_events=rng.randrange(1, 41),
+            )
+
+    def test_tapped_calendar_matches_reference_order():
+        rng = random.Random(0x7A9)
+        for _ in range(250):
+            check_workload(_random_script(rng), tapped=True)
+
+    def test_tapped_calendar_matches_reference_with_partial_runs():
+        rng = random.Random(0x7A9E)
+        for _ in range(250):
+            check_workload(
+                _random_script(rng),
+                until_ticks=rng.randrange(0, 65),
+                max_events=rng.randrange(1, 41),
+                tapped=True,
             )

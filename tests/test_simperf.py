@@ -20,13 +20,7 @@ import json
 
 import pytest
 
-from repro.lint.perf import (
-    activate,
-    active_alloc_monitor,
-    alloc_monitoring,
-    alloc_requested,
-    deactivate,
-)
+from repro.lint.perf import alloc_monitoring
 from repro.lint.perf.analyzer import check_perf, explained_hot_functions
 from repro.lint.perf.hotpaths import HotPathError, HotPathRegistry
 from repro.lint.perf.info import PERF_CODES
@@ -34,6 +28,8 @@ from repro.lint.perf.runtime import SCALAR_NOISE_BYTES, AllocMonitor
 from repro.lint.registry import catalog, known_codes
 from repro.lint.sem import ProjectAnalyzer
 from repro.sim.engine import Simulator
+from repro.sim import taps
+from repro.sim.taps import ALLOC, attached
 
 pytestmark = pytest.mark.simperf
 
@@ -308,32 +304,30 @@ def test_alloc_log_streams_and_is_capped(tmp_path):
 
 def test_hooks_stack_discipline():
     monitor = AllocMonitor(registry=HotPathRegistry.from_text("# empty\n"))
-    assert not alloc_requested() or active_alloc_monitor() is not None
-    activate(monitor)
+    assert not taps.requested(ALLOC) or taps.active(ALLOC) is not None
+    taps.activate(ALLOC, monitor)
     try:
-        assert active_alloc_monitor() is monitor
-        assert alloc_requested()
+        assert taps.active(ALLOC) is monitor
+        assert taps.requested(ALLOC)
     finally:
-        deactivate(monitor)
+        taps.deactivate(ALLOC, monitor)
     with pytest.raises(RuntimeError):
-        deactivate(monitor)
+        taps.deactivate(ALLOC, monitor)
     monitor.close()
 
 
 def test_env_activation(monkeypatch):
-    import repro.lint.perf.hooks as hooks
-
-    monkeypatch.setattr(hooks, "_ENV_MONITOR", None)
+    monkeypatch.setattr(taps, "_SHARED", {})
     monkeypatch.setenv("REPRO_ALLOC", "1")
-    assert alloc_requested()
-    monitor = active_alloc_monitor()
+    assert taps.requested(ALLOC)
+    monitor = taps.active(ALLOC)
     assert monitor is not None
-    assert active_alloc_monitor() is monitor  # shared per process
+    assert taps.active(ALLOC) is monitor  # shared per process
     monitor.close()
     monkeypatch.setenv("REPRO_ALLOC", "0")
-    monkeypatch.setattr(hooks, "_ENV_MONITOR", None)
-    assert active_alloc_monitor() is None
-    assert not alloc_requested()
+    monkeypatch.setattr(taps, "_SHARED", {})
+    assert taps.active(ALLOC) is None
+    assert not taps.requested(ALLOC)
 
 
 def test_network_attaches_active_monitor():
@@ -341,9 +335,9 @@ def test_network_attaches_active_monitor():
 
     with alloc_monitoring() as monitor:
         net = Network()
-    assert net.sim.alloc is monitor
+    assert attached(net.sim, ALLOC) is monitor
     net2 = Network()
-    assert net2.sim.alloc is None
+    assert attached(net2.sim, ALLOC) is None
 
 
 # ----------------------------------------------------------------------

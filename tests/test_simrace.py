@@ -17,16 +17,12 @@ import json
 
 import pytest
 
-from repro.lint.race import (
-    activate,
-    active_race_monitor,
-    deactivate,
-    race_monitoring,
-    race_requested,
-)
+from repro.lint.race import race_monitoring
 from repro.lint.race.runtime import RaceMonitor
 from repro.lint.sem import ProjectAnalyzer
 from repro.sim.engine import Simulator
+from repro.sim import taps
+from repro.sim.taps import RACE, attached
 from repro.sim.priorities import MODEL, SAMPLE, TIERS, tier_name
 
 pytestmark = pytest.mark.simrace
@@ -308,29 +304,27 @@ def test_monitor_writes_jsonl_report(tmp_path):
 
 def test_hooks_stack_discipline():
     monitor = RaceMonitor()
-    assert not race_requested() or active_race_monitor() is not None
-    activate(monitor)
+    assert not taps.requested(RACE) or taps.active(RACE) is not None
+    taps.activate(RACE, monitor)
     try:
-        assert active_race_monitor() is monitor
-        assert race_requested()
+        assert taps.active(RACE) is monitor
+        assert taps.requested(RACE)
     finally:
-        deactivate(monitor)
+        taps.deactivate(RACE, monitor)
     with pytest.raises(RuntimeError):
-        deactivate(monitor)
+        taps.deactivate(RACE, monitor)
 
 
 def test_env_activation(monkeypatch):
-    import repro.lint.race.hooks as hooks
-
-    monkeypatch.setattr(hooks, "_ENV_MONITOR", None)
+    monkeypatch.setattr(taps, "_SHARED", {})
     monkeypatch.setenv("REPRO_RACE", "1")
-    assert race_requested()
-    monitor = active_race_monitor()
+    assert taps.requested(RACE)
+    monitor = taps.active(RACE)
     assert monitor is not None
-    assert active_race_monitor() is monitor  # shared per process
+    assert taps.active(RACE) is monitor  # shared per process
     monkeypatch.setenv("REPRO_RACE", "0")
-    monkeypatch.setattr(hooks, "_ENV_MONITOR", None)
-    assert active_race_monitor() is None
+    monkeypatch.setattr(taps, "_SHARED", {})
+    assert taps.active(RACE) is None
 
 
 def test_network_attaches_active_monitor():
@@ -338,9 +332,9 @@ def test_network_attaches_active_monitor():
 
     with race_monitoring() as monitor:
         net = Network()
-    assert net.sim.race is monitor
+    assert attached(net.sim, RACE) is monitor
     net2 = Network()
-    assert net2.sim.race is None
+    assert attached(net2.sim, RACE) is None
 
 
 # ----------------------------------------------------------------------

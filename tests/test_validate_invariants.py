@@ -8,17 +8,17 @@ from repro.mptcp.connection import MptcpConnection
 from repro.net.network import Network
 from repro.net.queue import DropTailQueue, ThresholdECNQueue
 from repro.sim.engine import Simulator
+from repro.sim.taps import (
+    VALIDATE,
+    activate,
+    active,
+    attached,
+    deactivate,
+    requested,
+)
 from repro.transport.cc import RenoCC
 from repro.transport.flow import SinglePathFlow
-from repro.validate import (
-    InvariantError,
-    Validator,
-    activate,
-    active_validator,
-    deactivate,
-    validating,
-    validation_requested,
-)
+from repro.validate import InvariantError, Validator, validating
 
 pytestmark = pytest.mark.invariants
 
@@ -38,57 +38,57 @@ def _two_host_net() -> Network:
 
 
 # ----------------------------------------------------------------------
-# The registry (hooks.py)
+# The registry (repro.sim.taps) and the validating context
 # ----------------------------------------------------------------------
 
 
 class TestHooks:
     def test_no_validator_by_default(self):
-        assert active_validator() is None
-        assert not validation_requested()
+        assert active(VALIDATE) is None
+        assert not requested(VALIDATE)
 
     def test_activate_deactivate_stack(self):
         outer, inner = Validator(), Validator()
-        activate(outer)
+        activate(VALIDATE, outer)
         try:
-            assert active_validator() is outer
-            activate(inner)
-            assert active_validator() is inner
-            deactivate(inner)
-            assert active_validator() is outer
+            assert active(VALIDATE) is outer
+            activate(VALIDATE, inner)
+            assert active(VALIDATE) is inner
+            deactivate(VALIDATE, inner)
+            assert active(VALIDATE) is outer
         finally:
-            deactivate(outer)
-        assert active_validator() is None
+            deactivate(VALIDATE, outer)
+        assert active(VALIDATE) is None
 
     def test_deactivate_out_of_order_raises(self):
         outer, inner = Validator(), Validator()
-        activate(outer)
-        activate(inner)
+        activate(VALIDATE, outer)
+        activate(VALIDATE, inner)
         try:
             with pytest.raises(RuntimeError, match="out of order"):
-                deactivate(outer)
-            assert active_validator() is inner  # stack unchanged
+                deactivate(VALIDATE, outer)
+            assert active(VALIDATE) is inner  # stack unchanged
         finally:
-            deactivate(inner)
-            deactivate(outer)
+            deactivate(VALIDATE, inner)
+            deactivate(VALIDATE, outer)
 
     def test_deactivate_empty_raises(self):
-        with pytest.raises(RuntimeError, match="no validator is active"):
-            deactivate()
+        with pytest.raises(RuntimeError, match="no REPRO_VALIDATE tap is active"):
+            deactivate(VALIDATE)
 
     def test_validating_context_manager(self):
         with validating() as validator:
-            assert active_validator() is validator
-        assert active_validator() is None
+            assert active(VALIDATE) is validator
+        assert active(VALIDATE) is None
         assert validator.finished
 
     def test_validation_requested_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_VALIDATE", "1")
-        assert validation_requested()
+        assert requested(VALIDATE)
         monkeypatch.setenv("REPRO_VALIDATE", "0")
-        assert not validation_requested()
+        assert not requested(VALIDATE)
         monkeypatch.delenv("REPRO_VALIDATE")
-        assert not validation_requested()
+        assert not requested(VALIDATE)
 
 
 # ----------------------------------------------------------------------
@@ -99,7 +99,7 @@ class TestHooks:
 class TestDisabledByDefault:
     def test_observer_slots_default_none(self):
         net = _two_host_net()
-        assert net.sim.observer is None
+        assert net.sim.tap is None
         assert all(link.observer is None for link in net.links)
         assert all(link.queue.observer is None for link in net.links)
         flow = SinglePathFlow(net, "A", "B", net.paths("A", "B")[0],
@@ -143,8 +143,8 @@ class TestValidatedRuns:
     def test_watch_idempotent(self):
         validator = Validator()
         sim = Simulator()
-        validator.watch_sim(sim)
-        validator.watch_sim(sim)
+        validator.attach(sim)
+        validator.attach(sim)
         queue = DropTailQueue(10)
         validator.watch_queue(queue)
         validator.watch_queue(queue)
@@ -156,8 +156,8 @@ class TestValidatedRuns:
             Simulator_outer = Network()  # registered with outer
             with validating() as inner:
                 net_inner = Network()  # registered with inner only
-            assert net_inner.sim.observer in inner._sim_observers
-        assert Simulator_outer.sim.observer in outer._sim_observers
+            assert attached(net_inner.sim, VALIDATE) in inner._sim_observers
+        assert attached(Simulator_outer.sim, VALIDATE) in outer._sim_observers
         assert len(outer._sim_observers) == 1
 
     def test_summary_and_report(self):
