@@ -166,13 +166,17 @@ workload_smoke() {
 }
 
 fluid_smoke() {
-    # The fluid backend end-to-end through the CLI, then a short
+    # The fluid backend end-to-end through the CLI (one reference-solver
+    # dumbbell cell, one vector-solver fat-tree cell), then a short
     # fluid-vs-packet cross-validation on the Fig. 1 dumbbell: the
-    # cheapest proof that the ODE backend, the runner plumbing and the
+    # cheapest proof that both solvers, the runner plumbing and the
     # crosscheck tolerances still hold together.
-    echo "== fluid smoke (fluid cell + bottleneck crosscheck via the CLI) =="
+    echo "== fluid smoke (fluid cells + bottleneck crosscheck via the CLI) =="
     PYTHONPATH="$REPRO_PYTHONPATH" python -m repro fluid \
         --flows 4 --duration 0.05 --no-cache
+    PYTHONPATH="$REPRO_PYTHONPATH" python -m repro fluid \
+        --topology fattree --k 4 --flows 16 --subflows 2 --solver vector \
+        --duration 0.01 --no-cache
     PYTHONPATH="$REPRO_PYTHONPATH" python -m repro fluid \
         --crosscheck bottleneck --duration 0.05 --no-cache
 }

@@ -26,7 +26,9 @@ packet simulator.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, List, Sequence
 
 #: Packet size used to convert packets <-> bits (paper: 1500 B MTU).
@@ -125,18 +127,50 @@ def _tail_start(length: int, tail_fraction: float) -> int:
     return min(int(length * (1.0 - tail_fraction)), length - 1)
 
 
+def _sequential_sum(values: Sequence[float]) -> float:
+    """``values`` added left to right from an integer zero.
+
+    What ``sum`` does on Python <= 3.11.  Python 3.12 made float ``sum``
+    compensated, so every tail mean folds explicitly instead: the same
+    trajectory gives the same means on every interpreter.
+    """
+    return reduce(operator.add, values, 0)
+
+
 def tail_mean(values: Sequence[float], tail_fraction: float = 0.3) -> float:
     """Mean of the trailing ``tail_fraction`` of a non-empty series.
 
     The steady-state reduction every fluid result uses: validated
-    ``tail_fraction`` (see :func:`_check_tail_fraction`), and the window
-    always contains at least the final sample.
+    ``tail_fraction`` (see :func:`_check_tail_fraction`), the window
+    always contains at least the final sample, and the tail is summed
+    left to right (:func:`_sequential_sum`).
     """
     _check_tail_fraction(tail_fraction)
     if not values:
         raise ValueError("tail_mean needs a non-empty series")
     start = _tail_start(len(values), tail_fraction)
-    return sum(values[start:]) / (len(values) - start)
+    return _sequential_sum(values[start:]) / (len(values) - start)
+
+
+def tail_means(
+    rows: Sequence[Sequence[float]], tail_fraction: float = 0.3
+) -> List[float]:
+    """Per-column :func:`tail_mean` of samples stored as rows.
+
+    ``rows[i][j]`` is sample ``i`` of series ``j``.  The tail rows are
+    added elementwise, left to right from an integer zero, so each
+    column's mean is bit-identical to :func:`tail_mean` of that column
+    without building the column.  No rows means no series: ``[]``.
+    """
+    _check_tail_fraction(tail_fraction)
+    if not rows:
+        return []
+    start = _tail_start(len(rows), tail_fraction)
+    totals: List[float] = [0] * len(rows[start])
+    for row in rows[start:]:
+        totals = list(map(operator.add, totals, row))
+    count = len(rows) - start
+    return [total / count for total in totals]
 
 
 @dataclass
@@ -154,7 +188,7 @@ class FluidLinkResult:
             return []
         start = _tail_start(len(self.times), tail_fraction)
         return [
-            sum(series[start:]) / (len(series) - start)
+            _sequential_sum(series[start:]) / (len(series) - start)
             for series in self.windows
         ]
 
@@ -164,7 +198,7 @@ class FluidLinkResult:
         if not self.queue:
             return 0.0
         start = _tail_start(len(self.queue), tail_fraction)
-        return sum(self.queue[start:]) / (len(self.queue) - start)
+        return _sequential_sum(self.queue[start:]) / (len(self.queue) - start)
 
 
 def integrate_shared_link(
@@ -225,6 +259,7 @@ __all__ = [
     "SAMPLE_STRIDE",
     "step_count",
     "tail_mean",
+    "tail_means",
     "bos_window_ode",
     "integrate_single_flow",
     "threshold_marking_probability",

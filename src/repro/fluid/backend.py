@@ -17,14 +17,15 @@ key must name the arithmetic that produced its value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.core.bos import DEFAULT_BETA
-from repro.core.fluid import PACKET_BITS, SAMPLE_STRIDE, tail_mean
+from repro.core.fluid import PACKET_BITS, SAMPLE_STRIDE
 from repro.fluid.laws import FLUID_SCHEMES
 from repro.fluid.model import model_from_network
-from repro.fluid.solver import FluidTrajectory, integrate_model
+from repro.fluid.solver import SOLVERS, FluidTrajectory, integrate_model
 from repro.net.routing import MAX_PATHS, DistinctPathSelector, Path
 from repro.sim.random import RandomStreams
 from repro.sim.units import (
@@ -63,6 +64,39 @@ class FluidScenario:
     solver: str = "reference"
     sample_stride: int = SAMPLE_STRIDE
     w0: float = 2.0
+
+    def __post_init__(self) -> None:
+        """Reject invalid cells at construction, not deep inside a run."""
+        for name, allowed in (
+            ("scheme", FLUID_SCHEMES),
+            ("topology", TOPOLOGIES),
+            ("solver", SOLVERS),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(
+                    f"unknown fluid {name} {value!r} (one of {allowed})"
+                )
+        for name in ("flows", "subflows", "sample_stride", "queue_capacity"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name in ("duration", "dt", "link_rate_bps", "base_rtt", "w0"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}"
+                )
+        if not self.beta > 1:
+            raise ValueError(f"beta must be > 1, got {self.beta}")
+        if self.marking_threshold < 0:
+            raise ValueError(
+                f"marking_threshold must be >= 0, got {self.marking_threshold}"
+            )
+        if self.topology == "fattree" and (self.k < 2 or self.k % 2):
+            raise ValueError(
+                f"fattree k must be an even integer >= 2, got {self.k}"
+            )
 
     def label(self) -> str:
         base = self.scheme.upper()
@@ -113,7 +147,7 @@ class FluidResult:
                 f"link {link_name!r} not in fluid model "
                 f"({len(self.trajectory.link_names)} links)"
             ) from None
-        return tail_mean(self.trajectory.queues[index], tail_fraction)
+        return self.trajectory.steady_state_queues(tail_fraction)[index]
 
     def max_steady_state_queue(self, tail_fraction: float = 0.3) -> float:
         """The most congested link's tail-mean queue, packets."""
@@ -170,47 +204,39 @@ def _flow_paths(scenario: FluidScenario) -> Tuple[object, List[List[Path]]]:
             for flow in range(scenario.flows)
         ]
         return net, flow_paths
-    if scenario.topology == "fattree":
-        net = build_fattree(
-            k=scenario.k,
-            link_rate_bps=scenario.link_rate_bps,
-            queue_capacity=scenario.queue_capacity,
-            marking_threshold=scenario.marking_threshold,
-        )
-        streams = RandomStreams(scenario.seed)
-        pairs = _permutation_pairs(
-            net.host_names, scenario.flows, streams.stream("fluid-perm")
-        )
-        # Draw path indices, then build only the chosen paths: the same
-        # draws and Links as selecting from net.paths(), which is capped at
-        # MAX_PATHS like the packet side's path lists.
-        selector = DistinctPathSelector(streams.stream("fluid-paths"))
-        flow_paths = [
-            [
-                net.path(src, dst, i)
-                for i in selector.choose(
-                    min(net.path_count(src, dst), MAX_PATHS),
-                    scenario.subflows,
-                )
-            ]
-            for src, dst in pairs
-        ]
-        return net, flow_paths
-    raise ValueError(
-        f"unknown fluid topology {scenario.topology!r} (one of {TOPOLOGIES})"
+    # "fattree", the only other topology __post_init__ accepts.
+    net = build_fattree(
+        k=scenario.k,
+        link_rate_bps=scenario.link_rate_bps,
+        queue_capacity=scenario.queue_capacity,
+        marking_threshold=scenario.marking_threshold,
     )
+    streams = RandomStreams(scenario.seed)
+    pairs = _permutation_pairs(
+        net.host_names, scenario.flows, streams.stream("fluid-perm")
+    )
+    # Draw path indices, then build only the chosen paths: the same
+    # draws and Links as selecting from net.paths(), which is capped at
+    # MAX_PATHS like the packet side's path lists.
+    selector = DistinctPathSelector(streams.stream("fluid-paths"))
+    flow_paths = [
+        [
+            net.path(src, dst, i)
+            for i in selector.choose(
+                min(net.path_count(src, dst), MAX_PATHS),
+                scenario.subflows,
+            )
+        ]
+        for src, dst in pairs
+    ]
+    return net, flow_paths
 
 
 def _simulate(scenario: FluidScenario) -> FluidResult:
-    """Integrate one fluid scenario (the registered ``fluid`` kind)."""
-    if scenario.scheme not in FLUID_SCHEMES:
-        raise ValueError(
-            f"unknown fluid scheme {scenario.scheme!r} (one of {FLUID_SCHEMES})"
-        )
-    if scenario.flows < 1:
-        raise ValueError(f"need at least one flow, got {scenario.flows}")
-    if scenario.subflows < 1:
-        raise ValueError(f"need at least one subflow, got {scenario.subflows}")
+    """Integrate one fluid scenario (the registered ``fluid`` kind).
+
+    The scenario validated itself at construction.
+    """
     net, flow_paths = _flow_paths(scenario)
     model = model_from_network(net, flow_paths)
     trajectory = integrate_model(

@@ -60,7 +60,7 @@ class FluidModel:
 
     links: Tuple[FluidLink, ...]
     #: Grouped contiguously by flow, flow ids ascending from 0 — the
-    #: solver's per-flow segment reductions rely on this layout.
+    #: solvers' per-flow reductions rely on this layout.
     subflows: Tuple[FluidSubflow, ...]
     num_flows: int
 

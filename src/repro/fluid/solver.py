@@ -17,23 +17,27 @@ One Euler step advances, in this order:
 Two interchangeable solvers implement these semantics:
 
 * ``"reference"`` — pure Python, the executable specification; and
-* ``"vector"`` — numpy segment reductions over flattened path arrays,
+* ``"vector"`` — numpy folds over padded path and flow layouts,
   for the 10^4-10^6-subflow scenarios the reference loop cannot reach.
   Requires numpy (an optional test/bench dependency — the choice is
   explicit in the spec, never auto-detected, so a spec's fingerprint
   always names the float-summation order that produced its result).
+
+Both solvers record whole state rows, one per sample, into a numpy-free
+:class:`FluidTrajectory`; per-series views and steady-state means are
+derived from those rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.bos import DEFAULT_BETA
 from repro.core.fluid import (
     SAMPLE_STRIDE,
     step_count,
-    tail_mean,
+    tail_means,
     threshold_marking_probability,
 )
 from repro.fluid import laws
@@ -52,19 +56,26 @@ def vector_available() -> bool:
     return True
 
 
+def _series(rows: Sequence[Sequence[float]]) -> List[List[float]]:
+    """Rows of samples transposed into one list per series."""
+    return [list(series) for series in zip(*rows)]
+
+
 @dataclass
 class FluidTrajectory:
-    """Sampled state series from one integration.
+    """Sampled state rows from one integration.
 
-    ``windows``/``rates`` are per-subflow series (packets, packets/s),
-    ``queues`` per-link series (packets); all sampled every
-    ``sample_stride`` steps plus the final step unconditionally.
+    One row per sample, taken every ``sample_stride`` steps plus the
+    final step unconditionally: ``window_rows``/``rate_rows`` hold every
+    subflow's window and rate (packets, packets/s), ``queue_rows`` every
+    link's queue (packets).  ``windows``/``rates``/``queues`` are the
+    per-series views (one list per subflow or link), built on access.
     """
 
     times: List[float] = field(default_factory=list)
-    windows: List[List[float]] = field(default_factory=list)
-    rates: List[List[float]] = field(default_factory=list)
-    queues: List[List[float]] = field(default_factory=list)
+    window_rows: List[List[float]] = field(default_factory=list)
+    rate_rows: List[List[float]] = field(default_factory=list)
+    queue_rows: List[List[float]] = field(default_factory=list)
     link_names: Tuple[str, ...] = ()
     steps: int = 0
     dt: float = 0.0
@@ -72,17 +83,32 @@ class FluidTrajectory:
     #: fluid backend's events-processed equivalent.
     state_updates: int = 0
 
+    @property
+    def windows(self) -> List[List[float]]:
+        """Per-subflow window series, packets."""
+        return _series(self.window_rows)
+
+    @property
+    def rates(self) -> List[List[float]]:
+        """Per-subflow fluid-rate series, packets/s."""
+        return _series(self.rate_rows)
+
+    @property
+    def queues(self) -> List[List[float]]:
+        """Per-link queue series, packets (parallel to link_names)."""
+        return _series(self.queue_rows)
+
     def steady_state_windows(self, tail_fraction: float = 0.3) -> List[float]:
         """Per-subflow tail-mean window, packets."""
-        return [tail_mean(series, tail_fraction) for series in self.windows]
+        return tail_means(self.window_rows, tail_fraction)
 
     def steady_state_rates(self, tail_fraction: float = 0.3) -> List[float]:
         """Per-subflow tail-mean fluid rate, packets/s."""
-        return [tail_mean(series, tail_fraction) for series in self.rates]
+        return tail_means(self.rate_rows, tail_fraction)
 
     def steady_state_queues(self, tail_fraction: float = 0.3) -> List[float]:
         """Per-link tail-mean queue, packets (parallel to link_names)."""
-        return [tail_mean(series, tail_fraction) for series in self.queues]
+        return tail_means(self.queue_rows, tail_fraction)
 
 
 def integrate_model(
@@ -115,16 +141,11 @@ def integrate_model(
 def _new_trajectory(
     model: FluidModel, steps: int, dt: float
 ) -> FluidTrajectory:
-    num_subflows = len(model.subflows)
-    num_links = len(model.links)
     return FluidTrajectory(
-        windows=[[] for _ in range(num_subflows)],
-        rates=[[] for _ in range(num_subflows)],
-        queues=[[] for _ in range(num_links)],
         link_names=tuple(link.name for link in model.links),
         steps=steps,
         dt=dt,
-        state_updates=steps * (num_subflows + num_links),
+        state_updates=steps * (len(model.subflows) + len(model.links)),
     )
 
 
@@ -215,11 +236,10 @@ def _integrate_reference(
 
         if i % sample_stride == 0 or i == steps - 1:
             out.times.append(i * dt)
-            for s in range(num_subflows):
-                out.windows[s].append(w[s])
-                out.rates[s].append(rates[s])
-            for l in range(num_links):
-                out.queues[l].append(q[l])
+            # w and q are updated in place; rates is a new list each step.
+            out.window_rows.append(list(w))
+            out.rate_rows.append(rates)
+            out.queue_rows.append(list(q))
     return out
 
 
@@ -234,12 +254,15 @@ def _integrate_vector(
 ) -> FluidTrajectory:
     """numpy mirror of :func:`_integrate_reference` (same semantics).
 
-    Paths are flattened into one link-index array with per-subflow
-    segment offsets; per-subflow sums/products and per-flow reductions
-    are ``ufunc.reduceat`` calls, and arrivals scatter back with
-    ``bincount``.  Float summation *order* differs from the reference
-    loop, so trajectories agree only to integration tolerance — which
-    is why the spec names the solver explicitly.
+    Every reduction folds a padded layout row by row: ``hops`` holds
+    each subflow's path (path delays and survival products) and
+    ``members`` each flow's subflows (the coupled laws' sums, minima
+    and maxima), with a shorter path or flow padded by the operation's
+    identity.  Arrivals scatter back with ``bincount``.  Per-flow folds
+    run in subflow order like the reference's ``sum``/``min``, but path
+    delays add in a different order from the reference loop, so
+    trajectories agree only to integration tolerance — which is why the
+    spec names the solver explicitly.
     """
     try:
         import numpy as np
@@ -259,17 +282,41 @@ def _integrate_vector(
         ]
     )
     base = np.array([subflow.base_rtt for subflow in model.subflows])
-    path_links = np.concatenate(
-        [np.asarray(subflow.links, dtype=np.int64) for subflow in model.subflows]
+    path_links = np.array(
+        [link for subflow in model.subflows for link in subflow.links],
+        dtype=np.int64,
     )
-    path_lens = np.array(
-        [len(subflow.links) for subflow in model.subflows], dtype=np.int64
+    path_sub = np.repeat(
+        np.arange(num_subflows, dtype=np.int64),
+        [len(subflow.links) for subflow in model.subflows],
     )
-    sub_offsets = np.concatenate(([0], np.cumsum(path_lens)[:-1]))
-    path_sub = np.repeat(np.arange(num_subflows, dtype=np.int64), path_lens)
-    slices = model.flow_slices()
-    flow_offsets = np.array([start for start, _ in slices], dtype=np.int64)
     flow_of = np.array([subflow.flow for subflow in model.subflows], dtype=np.int64)
+
+    def padded(groups, fill, depth=1):
+        """Row j holds every group's j-th member, or ``fill`` past its end."""
+        depth = max(depth, max(len(group) for group in groups))
+        return np.array(
+            [[g[j] if j < len(g) else fill for g in groups] for j in range(depth)],
+            dtype=np.int64,
+        )
+
+    # The padding slot is the index just past the values gathered, which
+    # holds the fold's identity: 0 for sums, 1 for products, +-inf for
+    # minima and maxima.  At least two hop rows, for the rtt split below.
+    hops = padded([subflow.links for subflow in model.subflows], num_links, 2)
+    members = padded(
+        [range(start, end) for start, end in model.flow_slices()], num_subflows
+    )
+
+    def fold(op, rows):
+        total = rows[0]
+        for row in rows[1:]:
+            total = op(total, row)
+        return total
+
+    def per_flow(op, values, identity):
+        """``op`` folded over each flow's subflows, in subflow order."""
+        return fold(op, np.append(values, identity)[members])
 
     w = np.full(num_subflows, float(w0))
     q = np.zeros(num_links)
@@ -277,24 +324,26 @@ def _integrate_vector(
 
     out = _new_trajectory(model, steps, dt)
     for i in range(steps):
-        delay = q / caps
+        delay = np.append(q / caps, 0.0)[hops]
         p_link = 1.0 / (1.0 + np.exp(-(q - knees) / laws.MARKING_WIDTH))
-        rtt = base + np.add.reduceat(delay[path_links], sub_offsets)
-        survive = np.multiply.reduceat(1.0 - p_link[path_links], sub_offsets)
+        # First hop plus the sum of the rest: numpy's add.reduceat order
+        # for paths of up to 8 hops, which the pinned digests record.
+        rtt = base + (delay[0] + fold(np.add, delay[1:]))
+        survive = fold(np.multiply, np.append(1.0 - p_link, 1.0)[hops])
         p = 1.0 - survive
         x = w / rtt
 
         if scheme == "xmp":
-            y = np.add.reduceat(x, flow_offsets)[flow_of]
-            t_min = np.minimum.reduceat(rtt, flow_offsets)[flow_of]
+            y = per_flow(np.add, x, 0.0)[flow_of]
+            t_min = per_flow(np.minimum, rtt, np.inf)[flow_of]
             delta = w / (y * t_min)
             dw = (delta * (1.0 - p) - w * p / beta) / rtt
         elif scheme == "bos-uncoupled":
             dw = ((1.0 - p) - w * p / beta) / rtt
         elif scheme == "lia":
-            numerator = np.maximum.reduceat(w / (rtt * rtt), flow_offsets)
-            denominator = np.add.reduceat(w / rtt, flow_offsets)
-            total = np.add.reduceat(w, flow_offsets)
+            numerator = per_flow(np.maximum, w / (rtt * rtt), -np.inf)
+            denominator = per_flow(np.add, x, 0.0)
+            total = per_flow(np.add, w, 0.0)
             flow_alpha = total * numerator / (denominator * denominator)
             own = 1.0 / np.maximum(w, 1.0)
             increase = np.minimum(flow_alpha[flow_of] / total[flow_of], own)
@@ -310,14 +359,9 @@ def _integrate_vector(
 
         if i % sample_stride == 0 or i == steps - 1:
             out.times.append(i * dt)
-            w_list = w.tolist()
-            x_list = x.tolist()
-            q_list = q.tolist()
-            for s in range(num_subflows):
-                out.windows[s].append(w_list[s])
-                out.rates[s].append(x_list[s])
-            for l in range(num_links):
-                out.queues[l].append(q_list[l])
+            out.window_rows.append(w.tolist())
+            out.rate_rows.append(x.tolist())
+            out.queue_rows.append(q.tolist())
     return out
 
 

@@ -140,8 +140,17 @@ class DistinctPathSelector(PathSelector):
     def choose(self, count: int, subflow_count: int) -> List[int]:
         if count < 1:
             raise ValueError("no paths available")
+        # random.shuffle's Fisher-Yates, inlined on getrandbits: the same
+        # draws (and final RNG state) without a method call per index.
+        getrandbits = self._rng.getrandbits
         shuffled = list(range(count))
-        self._rng.shuffle(shuffled)
+        for i in range(count - 1, 0, -1):
+            n = i + 1
+            bits = n.bit_length()
+            j = getrandbits(bits)
+            while j >= n:
+                j = getrandbits(bits)
+            shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
         return [shuffled[i % count] for i in range(subflow_count)]
 
 

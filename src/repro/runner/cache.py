@@ -37,8 +37,10 @@ from repro.runner.spec import SOURCE_DISK, SOURCE_MEMORY, RunSpec
 
 #: Bump when the pickled result layout changes incompatibly.  2: the
 #: fingerprint's dict-key ordering changed to (type-name, repr) so
-#: mixed-type keys hash instead of raising TypeError.
-CACHE_SCHEMA = 2
+#: mixed-type keys hash instead of raising TypeError.  3: a fluid
+#: trajectory stores one state row per sample instead of one list per
+#: series.
+CACHE_SCHEMA = 3
 
 _ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 

@@ -4,6 +4,7 @@ sampling, tail-fraction validation, Eq. 2/3 equilibrium properties, the
 reference/vector solver equivalence, fat-tree paths by index, and
 the runner/telemetry backend plumbing."""
 
+import dataclasses
 import math
 
 import pytest
@@ -234,6 +235,45 @@ class TestFluidBackend:
         with pytest.raises(ValueError):
             _simulate(FluidScenario(subflows=0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("scheme", "cubic"),
+        ("topology", "torus"),
+        ("solver", "magic"),
+        ("flows", 0),
+        ("subflows", 0),
+        ("duration", 0.0),
+        ("duration", math.inf),
+        ("dt", -2e-5),
+        ("dt", math.nan),
+        ("link_rate_bps", 0.0),
+        ("link_rate_bps", math.inf),
+        ("base_rtt", -1e-6),
+        ("base_rtt", math.nan),
+        ("w0", 0.0),
+        ("w0", math.inf),
+        ("beta", 1.0),
+        ("beta", math.nan),
+        ("sample_stride", 0),
+        ("marking_threshold", -1),
+        ("queue_capacity", 0),
+    ])
+    def test_invalid_field_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FluidScenario(**{field: value})
+
+    @pytest.mark.parametrize("k", [0, 3, 5])
+    def test_fattree_k_rejected_at_construction(self, k):
+        with pytest.raises(ValueError, match="k must be"):
+            FluidScenario(topology="fattree", k=k)
+        # k only describes the fat tree; the dumbbell ignores it.
+        FluidScenario(topology="bottleneck", k=k)
+
+    def test_valid_edges_accepted(self):
+        FluidScenario(beta=1.0001, marking_threshold=0, queue_capacity=1,
+                      sample_stride=1, topology="fattree", k=2)
+        with pytest.raises(ValueError, match="beta"):
+            dataclasses.replace(FluidScenario(), beta=0.5)
+
     def test_label(self):
         assert FluidScenario().label() == "XMP/bottleneck-f4"
         assert (
@@ -277,21 +317,13 @@ class TestFluidBackend:
 
 @pytest.mark.skipif(not vector_available(), reason="numpy not installed")
 class TestSolverEquivalence:
-    @pytest.mark.parametrize("scheme", FLUID_SCHEMES)
-    def test_solvers_agree(self, scheme):
-        """The numpy solver is a vectorization, not a reinterpretation:
-        trajectories match the pure-Python reference to float tolerance."""
-        base = FluidScenario(
-            scheme=scheme, topology="fattree", flows=8, subflows=2,
-            duration=seconds(0.01),
-        )
+    @staticmethod
+    def assert_solvers_agree(base):
         ref = _simulate(base)
-        vec = _simulate(FluidScenario(
-            scheme=scheme, topology="fattree", flows=8, subflows=2,
-            duration=seconds(0.01), solver="vector",
-        ))
+        vec = _simulate(dataclasses.replace(base, solver="vector"))
         for r_series, v_series in zip(
-            ref.trajectory.windows, vec.trajectory.windows
+            ref.trajectory.windows + ref.trajectory.rates,
+            vec.trajectory.windows + vec.trajectory.rates,
         ):
             for r, v in zip(r_series, v_series):
                 assert math.isclose(r, v, rel_tol=1e-9)
@@ -300,6 +332,28 @@ class TestSolverEquivalence:
         ):
             for r, v in zip(r_series, v_series):
                 assert math.isclose(r, v, rel_tol=1e-9, abs_tol=1e-9)
+
+    @pytest.mark.parametrize("scheme", FLUID_SCHEMES)
+    def test_solvers_agree(self, scheme):
+        """The numpy solver is a vectorization, not a reinterpretation:
+        trajectories match the pure-Python reference to float tolerance."""
+        self.assert_solvers_agree(FluidScenario(
+            scheme=scheme, topology="fattree", flows=8, subflows=2,
+            duration=seconds(0.01),
+        ))
+
+    @pytest.mark.parametrize("scheme", FLUID_SCHEMES)
+    @pytest.mark.parametrize("topology, subflows", [
+        ("fattree", 1), ("fattree", 3),
+        ("bottleneck", 1), ("bottleneck", 2), ("bottleneck", 3),
+    ])
+    def test_solvers_agree_across_layouts(self, topology, subflows, scheme):
+        """One to three subflows per flow, on both topologies: from three
+        subflows on, per-flow sums have more than one rounding."""
+        self.assert_solvers_agree(FluidScenario(
+            scheme=scheme, topology=topology, flows=8, subflows=subflows,
+            duration=seconds(0.01),
+        ))
 
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError):

@@ -175,6 +175,26 @@ class TestChooseMatchesReference:
             assert [paths[i] for i in indices] == expected
             assert choose_rng.getstate() == expected_rng.getstate()
 
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 63, 64, 65, 81, 128])
+    def test_distinct_choose_at_bit_length_edges(self, count):
+        """The inlined Fisher-Yates draws ``n.bit_length()`` bits per
+        index like ``random.shuffle``; around each power of two the bit
+        count and the rejection rate change, so check picks and final
+        RNG state there, with fewer, equal and more subflows than paths."""
+        paths = list(range(count))
+        for seed in range(20):
+            for subflow_count in (1, 2, count, count + 1, 2 * count + 3):
+                expected_rng = random.Random(seed)
+                expected = self.reference_distinct(
+                    expected_rng, paths, subflow_count
+                )
+                choose_rng = random.Random(seed)
+                picks = DistinctPathSelector(choose_rng).choose(
+                    count, subflow_count
+                )
+                assert picks == expected
+                assert choose_rng.getstate() == expected_rng.getstate()
+
     def test_choose_rejects_no_paths(self):
         for cls in (DistinctPathSelector, EcmpSelector):
             with pytest.raises(ValueError):

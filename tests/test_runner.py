@@ -184,6 +184,39 @@ class TestCache:
         assert spec_fingerprint(RunSpec("fig1", TINY)) != same
 
 
+class TestSchemaBump:
+    def test_schema_2_fluid_entry_is_a_miss(self, tmp_path, monkeypatch):
+        """A result pickled under the previous schema lives at another
+        fingerprint, so it is recomputed rather than served: a schema-2
+        fluid trajectory (one list per series, no state rows) would
+        unpickle fine and then fail on first use."""
+        from repro.fluid import FluidScenario
+        from repro.fluid.solver import FluidTrajectory
+        from repro.runner import cache as cache_module
+
+        assert cache_module.CACHE_SCHEMA == 3
+        spec = RunSpec("fluid", FluidScenario(flows=1, duration=0.001))
+        old = FluidTrajectory.__new__(FluidTrajectory)
+        old.__dict__.update(
+            times=[0.0], windows=[[2.0]], rates=[[8000.0]], queues=[[0.0]],
+            link_names=("a->b",), steps=1, dt=2e-5, state_updates=2,
+        )
+        monkeypatch.setattr(cache_module, "CACHE_SCHEMA", 2)
+        old_key = spec_fingerprint(spec)
+        monkeypatch.undo()
+        disk = DiskCache(tmp_path)
+        disk.put(old_key, old)
+        with pytest.raises(AttributeError):
+            disk.get(old_key).steady_state_windows()
+
+        assert spec_fingerprint(spec) != old_key
+        cache = RunCache(disk=disk)
+        assert cache.lookup(spec) is None
+        result = run_spec(spec, cache=cache)
+        assert result.metrics.source == SOURCE_RUN
+        assert result.value.trajectory.window_rows
+
+
 class TestCampaignResult:
     def test_summary_and_cells(self):
         cache = RunCache()
